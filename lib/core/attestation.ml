@@ -66,14 +66,9 @@ let read_platform_key t =
   Cpu.with_firmware t.cpu ~eip:t.code_eip (fun () ->
       Cpu.load_bytes t.cpu t.kp_addr Crypto.Sha1.digest_size)
 
-(* Charge cycles for the SHA-1 compressions a crypto operation really
+(* Charge cycles for the compressions a crypto operation really
    performed. *)
-let charged t f =
-  let before = Crypto.Sha1.total_compressions () in
-  let result = f () in
-  let used = Crypto.Sha1.total_compressions () - before in
-  Cycles.charge (Cpu.clock t.cpu) (used * Cost_model.crypto_per_compression);
-  result
+let charged t f = Cost_model.charge_hashing (Cpu.clock t.cpu) f
 
 let local_attest t id = Rtm.find t.rtm id <> None
 let loaded_identities t = List.map (fun e -> e.Rtm.id) (Rtm.all t.rtm)

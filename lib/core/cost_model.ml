@@ -50,3 +50,13 @@ let counter_read = 28
 let counter_increment = 180
 let ota_offer_check = 260
 let ota_chunk_base = 96
+
+let charge_hashing clock f =
+  let s1 = Tytan_crypto.Sha1.domain_compressions () in
+  let s2 = Tytan_crypto.Sha256.domain_compressions () in
+  let r = f () in
+  let d1 = Tytan_crypto.Sha1.domain_compressions () - s1 in
+  let d2 = Tytan_crypto.Sha256.domain_compressions () - s2 in
+  if d1 > 0 then Tytan_machine.Cycles.charge clock (d1 * crypto_per_compression);
+  if d2 > 0 then Tytan_machine.Cycles.charge clock (d2 * sha256_per_compression);
+  r

@@ -225,3 +225,13 @@ val ota_chunk_base : int
 (** Per-chunk bookkeeping of the staged-image assembly buffer (96;
     cursor checks and bounds tests — the copy itself is charged at
     [loader_copy_per_byte] when the image is loaded). *)
+
+(** {2 Charging host-side hashing} *)
+
+val charge_hashing : Tytan_machine.Cycles.t -> (unit -> 'a) -> 'a
+(** [charge_hashing clock f] runs [f] and charges [clock] for every SHA-1
+    and SHA-256 compression the {e calling domain} performed meanwhile,
+    at [crypto_per_compression] and [sha256_per_compression].  The
+    counters sampled are domain-local, so a charge is exact even while
+    other domains hash concurrently — the one helper every engine
+    (swarm, gateway, rollout, aggregator) charges its crypto through. *)

@@ -24,12 +24,7 @@ let create cpu ~code_eip ~kp_addr =
 
 let code_eip t = t.code_eip
 
-let charged t f =
-  let before = Crypto.Sha1.total_compressions () in
-  let result = f () in
-  let used = Crypto.Sha1.total_compressions () - before in
-  Cycles.charge (Cpu.clock t.cpu) (used * Cost_model.crypto_per_compression);
-  result
+let charged t f = Cost_model.charge_hashing (Cpu.clock t.cpu) f
 
 let task_key t ~owner =
   let platform_key =

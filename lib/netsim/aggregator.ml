@@ -141,21 +141,6 @@ let create ~ka_of ~clock ?telemetry ?(batch_limit = 256) ?(kind = Rebuild)
 let on_seal t f = t.seal_hook <- Some f
 let emit t f = match t.telemetry with Some tel -> f tel | None -> ()
 
-(* Crypto cycles are charged by sampling the calling domain's
-   compression counters around the operation, at the per-algorithm
-   rates — the same discipline the on-device services use, applied
-   verifier-side.  Per-domain (not process-global) counters so a worker
-   never bills another domain's hashing to its own clock. *)
-let charged_clock clock f =
-  let s1 = Crypto.Sha1.domain_compressions () in
-  let s2 = Crypto.Sha256.domain_compressions () in
-  let r = f () in
-  let d1 = Crypto.Sha1.domain_compressions () - s1 in
-  let d2 = Crypto.Sha256.domain_compressions () - s2 in
-  if d1 > 0 then Cycles.charge clock (d1 * Cost_model.crypto_per_compression);
-  if d2 > 0 then Cycles.charge clock (d2 * Cost_model.sha256_per_compression);
-  r
-
 let epoch t = t.epoch
 
 let record_seal t ~root ~size =
@@ -182,7 +167,9 @@ let seal_rebuild t =
       Array.of_list (List.rev_map (fun (_, leaf) -> leaf) t.pending)
     in
     let serials = List.rev_map fst t.pending in
-    let tree = charged_clock t.clock (fun () -> Crypto.Merkle.build leaves) in
+    let tree =
+      Cost_model.charge_hashing t.clock (fun () -> Crypto.Merkle.build leaves)
+    in
     let root = Crypto.Merkle.root tree in
     List.iter (fun serial -> mark_sealed t serial root) serials;
     t.last_tree <- Some (tree, leaves);
@@ -227,7 +214,7 @@ let grow_slots rs n =
 let admit_retain t rs ~serial ~(id : Task_id.t) =
   match Hashtbl.find_opt rs.slots serial with
   | None ->
-      charged_clock t.clock (fun () ->
+      Cost_model.charge_hashing t.clock (fun () ->
           let idx =
             Crypto.Merkle.Inc.append rs.inc (retain_leaf ~serial (Some id))
           in
@@ -243,7 +230,7 @@ let admit_retain t rs ~serial ~(id : Task_id.t) =
       rs.slot_epochs.(idx) <- t.epoch;
       let before = rs.slot_ids.(idx) in
       if not (same_id before (Some id)) then begin
-        charged_clock t.clock (fun () ->
+        Cost_model.charge_hashing t.clock (fun () ->
             Crypto.Merkle.Inc.set rs.inc idx (retain_leaf ~serial (Some id)));
         rs.slot_ids.(idx) <- Some id;
         rs.pending_delta <-
@@ -262,12 +249,15 @@ let seal_retain t rs =
           { serial; before = rs.slot_ids.(idx); after = None }
           :: rs.pending_delta;
         rs.slot_ids.(idx) <- None;
-        charged_clock t.clock (fun () ->
+        Cost_model.charge_hashing t.clock (fun () ->
             Crypto.Merkle.Inc.set rs.inc idx (retain_leaf ~serial None))
       end
     done;
     if not (rs.pending_delta = [] && rs.last_sealed_epoch = t.epoch) then begin
-      let root = charged_clock t.clock (fun () -> Crypto.Merkle.Inc.commit rs.inc) in
+      let root =
+        Cost_model.charge_hashing t.clock (fun () ->
+            Crypto.Merkle.Inc.commit rs.inc)
+      in
       (* Everything verified this epoch is (still) a live leaf of the
          committed tree; re-stamp the whole epoch cache with the new
          root so queries check against it. *)
@@ -299,7 +289,7 @@ let key_of t sh serial =
   match Hashtbl.find_opt sh.keys serial with
   | Some ka -> ka
   | None ->
-      let ka = charged_clock sh.sclock (fun () -> t.ka_of ~serial) in
+      let ka = Cost_model.charge_hashing sh.sclock (fun () -> t.ka_of ~serial) in
       sh.key_derivations <- sh.key_derivations + 1;
       Hashtbl.replace sh.keys serial ka;
       ka
@@ -312,7 +302,10 @@ let mac_state_of t sh serial =
   | Some st -> st
   | None ->
       let ka = key_of t sh serial in
-      let st = charged_clock sh.sclock (fun () -> Crypto.Hmac.prepare ~key:ka) in
+      let st =
+        Cost_model.charge_hashing sh.sclock (fun () ->
+            Crypto.Hmac.prepare ~key:ka)
+      in
       Hashtbl.replace sh.mac_states serial st;
       st
 
@@ -359,7 +352,7 @@ let check_report ?(shard = 0) t ~serial ~expected ~nonce
         else sh.tel_misses <- sh.tel_misses + 1;
         let st = mac_state_of t sh serial in
         let expected_mac =
-          charged_clock sh.sclock (fun () ->
+          Cost_model.charge_hashing sh.sclock (fun () ->
               Attestation.expected_mac_with st ~id:expected ~nonce)
         in
         let genuine = Crypto.Constant_time.equal expected_mac report.mac in

@@ -43,6 +43,13 @@ val send : t -> from:side -> at:int -> bytes -> unit
 val deliver : t -> to_:side -> at:int -> bytes list
 (** Frames due for [to_] at slice [at] (oldest first); removes them. *)
 
+val next_due : t -> int
+(** The earliest slice at which a frame is due, in either direction;
+    [max_int] when nothing is in flight.  While [next_due t > at],
+    {!deliver} at slice [at] returns [[]] for both sides and changes
+    nothing — the guarantee the fleet engines' wake-driven slice loops
+    skip idle devices on. *)
+
 val set_burst : t -> until:int -> unit
 (** Open (or extend) a burst-loss window: every frame sent at a slice
     [< until] is dropped, in both directions, counted under
@@ -78,3 +85,52 @@ val delivered_count : t -> int
 val corrupted_count : t -> int
 val duplicated_count : t -> int
 val reordered_count : t -> int
+
+(** The active set behind the fleet engines' wake-driven slice loops.
+
+    A campaign's slice loop used to visit every device in every slice,
+    although a device can only act when a frame on its link is due
+    ({!next_due}) or its session's retry timer fires
+    ({!Verifier.next_wake}, or a transfer session's own wake).  A
+    [Wake_set.t] holds the indices of the devices that still can act,
+    in ascending order, so a slice visits exactly the devices whose
+    wake has come — in the same relative order the visit-everyone loop
+    used — and reports the earliest wake of the rest, so the caller can
+    jump straight to the next slice in which anything happens.
+
+    A member whose wake is [max_int] (settled session, empty link) can
+    never act again and is dropped by the next {!sweep}.  Storage is two
+    preallocated arrays sized by the index universe: adding, sweeping
+    and dropping allocate nothing. *)
+module Wake_set : sig
+  type t
+
+  val create : universe:int -> t
+  (** An empty set over indices [0, universe). *)
+
+  val clear : t -> unit
+
+  val add : t -> int -> unit
+  (** Make an index a member; a no-op if it already is.  Adding out of
+      order is allowed: the next {!sweep} or {!iter} restores ascending
+      order first. *)
+
+  val sweep : t -> at:int -> wake:(int -> int) -> visit:(int -> unit) -> int
+  (** [sweep t ~at ~wake ~visit] calls [visit i], in ascending order, for
+      every member with [wake i <= at]; then drops every member whose
+      [wake] has become [max_int] and returns the earliest [wake] among
+      the members kept ([max_int] when none is left).  [wake i] must not
+      depend on any other member's state, and [visit i] must only change
+      member [i]'s wake — the two facts that make skipping a member whose
+      wake lies in the future a no-op.  [visit] must not {!add}. *)
+
+  val iter : t -> (int -> unit) -> unit
+  (** Every member, ascending. *)
+
+  val next_slice : at:int -> cap:int -> settled:bool -> int -> int
+  (** [next_slice ~at ~cap ~settled next] is the slice a loop bounded by
+      [slice <= cap] moves to after slice [at], given the earliest wake
+      [next] of the last {!sweep}: [at + 1] once every session has
+      [settled], else [next] clamped to [at + 1 .. cap + 1].  Either way
+      the loop ends on the slice a visit-everyone loop would end on. *)
+end

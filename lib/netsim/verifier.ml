@@ -134,6 +134,8 @@ let poll t ~at =
     Some (Protocol.encode challenge)
   end
 
+let next_wake t = if t.outcome = Pending then t.next_send else max_int
+
 let on_frame t frame =
   if t.outcome = Pending then
     match Protocol.decode frame with

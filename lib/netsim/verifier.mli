@@ -82,6 +82,12 @@ val create :
 val poll : t -> at:int -> bytes option
 (** Called every slice; [Some frame] when a (re)transmission is due. *)
 
+val next_wake : t -> int
+(** The earliest slice at which {!poll} can act — (re)transmit or give
+    up: the pending retry deadline while {!Pending}, [max_int] once the
+    session has settled.  [poll ~at] with [at < next_wake t] returns
+    [None] and changes nothing. *)
+
 val on_frame : t -> bytes -> unit
 (** Feed a received frame; malformed, stale and forged frames are
     counted and ignored. *)

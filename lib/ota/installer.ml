@@ -99,12 +99,7 @@ let attempt_counter_reset t =
 
 let reset_attempts t = Devices.Monotonic_counter.reset_attempts t.counter
 
-let charged t f =
-  let s1 = Crypto.Sha1.total_compressions () in
-  let r = f () in
-  let d1 = Crypto.Sha1.total_compressions () - s1 in
-  if d1 > 0 then Cycles.charge t.clock (d1 * Cost_model.crypto_per_compression);
-  r
+let charged t f = Cost_model.charge_hashing t.clock f
 
 let persist_counter t =
   match t.persist with

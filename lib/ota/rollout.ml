@@ -64,16 +64,6 @@ type report = {
 
 let serial_of i = Printf.sprintf "dev-%05d" i
 
-let charged clock f =
-  let s1 = Crypto.Sha1.total_compressions () in
-  let s2 = Crypto.Sha256.total_compressions () in
-  let r = f () in
-  let d1 = Crypto.Sha1.total_compressions () - s1 in
-  let d2 = Crypto.Sha256.total_compressions () - s2 in
-  if d1 > 0 then Cycles.charge clock (d1 * Cost_model.crypto_per_compression);
-  if d2 > 0 then Cycles.charge clock (d2 * Cost_model.sha256_per_compression);
-  r
-
 (* The OTA chaos schedule: truncated update frames (the decoder refuses,
    the sender's retransmissions recover), counter-reset attempts (the
    hardware refuses and counts), and canaries crashing mid-swap (the
@@ -130,9 +120,13 @@ type sess = {
   mutable counter_after : int;
 }
 
+(* End of the go-back-N window: chunks before it may be in flight. *)
+let window_limit s =
+  min (Bytes.length s.payload) (s.next_needed + (window * chunk_size))
+
 let send_chunks s ~at =
   let size = Bytes.length s.payload in
-  let limit = min size (s.next_needed + (window * chunk_size)) in
+  let limit = window_limit s in
   while s.cursor < limit do
     let len = min chunk_size (size - s.cursor) in
     Link.send s.dev.link ~from:Link.Remote ~at
@@ -170,6 +164,16 @@ let controller_poll s ~at =
         end
       end
       else send_chunks s ~at
+
+(* The earliest slice at which [controller_poll] can act: at once while
+   a streaming window still has room, otherwise when the retry timer
+   fires; never once the session is done.  Before the first send
+   [last_sent] is far negative, so a fresh offer is due at once too. *)
+let session_wake s =
+  match s.state with
+  | `Done _ -> max_int
+  | `Stream when s.cursor < window_limit s -> min_int
+  | `Offer | `Stream -> s.last_sent + retry_timeout
 
 let controller_on_frame s ~at frame =
   match Protocol.decode frame with
@@ -264,33 +268,48 @@ let attest_gate ~controller_clock ~wave (cohort : dev list) ~expected ~truncated
         (d, [ static; cfa ]))
       cohort
   in
-  let all_settled () =
-    List.for_all
-      (fun (_, vs) ->
-        List.for_all (fun v -> Verifier.outcome v <> Verifier.Pending) vs)
-      sessions
+  (* Wake-driven slices, as in [Swarm.run]: a device is visited only
+     when a frame on its link is due or one of its sessions' retry timer
+     fires, and the loop jumps to the earliest such slice. *)
+  let gate = Array.of_list sessions in
+  let active = Link.Wake_set.create ~universe:(Array.length gate) in
+  Array.iteri (fun i _ -> Link.Wake_set.add active i) gate;
+  let wake i =
+    let d, vs = gate.(i) in
+    List.fold_left
+      (fun w v -> min w (Verifier.next_wake v))
+      (Link.next_due d.link) vs
   in
+  let pending = ref (2 * Array.length gate) in
   let slice = ref 0 in
-  while (not (all_settled ())) && !slice <= slice_cap do
+  while !pending > 0 && !slice <= slice_cap do
     let at = !slice in
-    List.iter (fun d -> device_step d ~at ~truncated) cohort;
-    List.iter
-      (fun (d, vs) ->
-        (* Both sessions share the device's link: drain once, fan every
-           frame out to both (each ignores the other's sequences). *)
-        let frames = Link.deliver d.link ~to_:Link.Remote ~at in
-        List.iter
-          (fun v ->
-            List.iter
-              (fun frame ->
-                charged controller_clock (fun () -> Verifier.on_frame v frame))
-              frames;
-            match Verifier.poll v ~at with
-            | Some frame -> Link.send d.link ~from:Link.Remote ~at frame
-            | None -> ())
-          vs)
-      sessions;
-    incr slice
+    ignore
+      (Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
+           device_step (fst gate.(i)) ~at ~truncated));
+    let next =
+      Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
+          let d, vs = gate.(i) in
+          (* Both sessions share the device's link: drain once, fan every
+             frame out to both (each ignores the other's sequences). *)
+          let frames = Link.deliver d.link ~to_:Link.Remote ~at in
+          List.iter
+            (fun v ->
+              let was_pending = Verifier.outcome v = Verifier.Pending in
+              List.iter
+                (fun frame ->
+                  Cost_model.charge_hashing controller_clock (fun () ->
+                      Verifier.on_frame v frame))
+                frames;
+              (match Verifier.poll v ~at with
+              | Some frame -> Link.send d.link ~from:Link.Remote ~at frame
+              | None -> ());
+              if was_pending && Verifier.outcome v <> Verifier.Pending then
+                decr pending)
+            vs)
+    in
+    slice :=
+      Link.Wake_set.next_slice ~at ~cap:slice_cap ~settled:(!pending = 0) next
   done;
   List.iter
     (fun (_, vs) ->
@@ -370,10 +389,11 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
         (* Device-side boot-time key derivation, charged to the device;
            the controller derives its copy from the registry side. *)
         let device_ka =
-          charged device_clock (fun () -> Attestation.derive_ka ~platform_key)
+          Cost_model.charge_hashing device_clock (fun () ->
+              Attestation.derive_ka ~platform_key)
         in
         let ka =
-          charged controller_clock (fun () ->
+          Cost_model.charge_hashing controller_clock (fun () ->
               Attestation.derive_ka ~platform_key)
         in
         let counter =
@@ -473,7 +493,7 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
             (fun d ->
               let seq = (wave_idx * 10_000) + d.index in
               let mac =
-                charged controller_clock (fun () ->
+                Cost_model.charge_hashing controller_clock (fun () ->
                     Attestation.update_mac ~ka:d.ka ~id ~version:w.version
                       ~size ~digest)
               in
@@ -509,40 +529,63 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
           64 + (8 * ((size / chunk_size) + 1))
           + (retry_timeout * session_attempts * 2)
         in
-        let all_done () =
-          List.for_all (fun s -> match s.state with `Done _ -> true | _ -> false)
-            sessions
+        (* Wake-driven slices, as in [attest_gate]: each pass visits, in
+           session order, only the sessions whose link has a frame due
+           or whose controller can send; the loop jumps to the next
+           slice in which any of them can act. *)
+        let live = Array.of_list sessions in
+        let active = Link.Wake_set.create ~universe:(Array.length live) in
+        Array.iteri (fun i _ -> Link.Wake_set.add active i) live;
+        let wake i =
+          let s = live.(i) in
+          min (Link.next_due s.dev.link) (session_wake s)
+        in
+        let is_done s = match s.state with `Done _ -> true | _ -> false in
+        let pending = ref (Array.length live) in
+        let tracking_done s f =
+          let was_done = is_done s in
+          f ();
+          if (not was_done) && is_done s then decr pending
         in
         let slice = ref 0 in
-        while (not (all_done ())) && !slice <= cap do
+        while !pending > 0 && !slice <= cap do
           let at = !slice in
-          List.iter (fun s -> device_step s.dev ~at ~truncated) sessions;
-          List.iter
-            (fun s ->
-              List.iter
-                (fun frame ->
-                  let was_opened = s.opened in
-                  let before = s.state in
-                  controller_on_frame s ~at frame;
-                  if obs <> None then begin
-                    let corr = dev_corr s.dev.serial in
-                    if (not was_opened) && s.opened then
-                      observe ~corr ~at:(base + at)
-                        (Obs.Event.Transfer_staged { serial = s.dev.serial });
-                    match s.state with
-                    | `Done c when before <> s.state -> (
-                        match
-                          terminal_event ~serial:s.dev.serial
-                            ~counter:s.counter_after c
-                        with
-                        | Some e -> observe ~corr ~at:(base + at) e
-                        | None -> ())
-                    | _ -> ()
-                  end)
-                (Link.deliver s.dev.link ~to_:Link.Remote ~at))
-            sessions;
-          List.iter (fun s -> controller_poll s ~at) sessions;
-          incr slice
+          ignore
+            (Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
+                 device_step live.(i).dev ~at ~truncated));
+          ignore
+            (Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
+                 let s = live.(i) in
+                 tracking_done s (fun () ->
+                     List.iter
+                       (fun frame ->
+                         let was_opened = s.opened in
+                         let before = s.state in
+                         controller_on_frame s ~at frame;
+                         if obs <> None then begin
+                           let corr = dev_corr s.dev.serial in
+                           if (not was_opened) && s.opened then
+                             observe ~corr ~at:(base + at)
+                               (Obs.Event.Transfer_staged
+                                  { serial = s.dev.serial });
+                           match s.state with
+                           | `Done c when before <> s.state -> (
+                               match
+                                 terminal_event ~serial:s.dev.serial
+                                   ~counter:s.counter_after c
+                               with
+                               | Some e -> observe ~corr ~at:(base + at) e
+                               | None -> ())
+                           | _ -> ()
+                         end)
+                       (Link.deliver s.dev.link ~to_:Link.Remote ~at))));
+          let next =
+            Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
+                let s = live.(i) in
+                tracking_done s (fun () -> controller_poll s ~at))
+          in
+          slice :=
+            Link.Wake_set.next_slice ~at ~cap ~settled:(!pending = 0) next
         done;
         slices := !slices + !slice;
         (* Anything still unsettled has exhausted its schedule. *)

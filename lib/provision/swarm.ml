@@ -92,20 +92,6 @@ type report = {
 
 let serial_of i = Printf.sprintf "dev-%05d" i
 
-(* Crypto cycles are charged by sampling the calling domain's
-   compression counters around an operation — SHA-1 and SHA-256 at
-   their respective per-compression rates.  Domain-local counters so a
-   worker's charge never includes another domain's hashing. *)
-let charged_on clock f =
-  let s1 = Crypto.Sha1.domain_compressions () in
-  let s2 = Crypto.Sha256.domain_compressions () in
-  let r = f () in
-  let d1 = Crypto.Sha1.domain_compressions () - s1 in
-  let d2 = Crypto.Sha256.domain_compressions () - s2 in
-  if d1 > 0 then Cycles.charge clock (d1 * Cost_model.crypto_per_compression);
-  if d2 > 0 then Cycles.charge clock (d2 * Cost_model.sha256_per_compression);
-  r
-
 (* The device-fault schedule: image tampers (a flipped firmware bit —
    the device then honestly refuses the reference identity), permanent
    kills and one-epoch hangs, pinned to epochs via [at_tick].  Built
@@ -222,7 +208,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
         let platform_key = Registry.platform_key registry ~serial in
         (* Device-side boot-time key derivation, same in every mode. *)
         let ka =
-          charged_on device_clock (fun () ->
+          Cost_model.charge_hashing device_clock (fun () ->
               Attestation.derive_ka ~platform_key)
         in
         {
@@ -236,6 +222,17 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
         })
   in
   let plan = if faults then fault_events ~seed ~devices ~epochs else [] in
+  (* Fault events name devices by serial; serials are unique, so one
+     table resolves each event in O(1) instead of a fleet scan. *)
+  let index_of = Hashtbl.create (2 * devices) in
+  Array.iteri
+    (fun i (p : prover) -> Hashtbl.replace index_of p.serial i)
+    provers;
+  let by_serial name f =
+    match Hashtbl.find_opt index_of name with
+    | Some i -> f provers.(i)
+    | None -> ()
+  in
   let churn = churn_events ~seed ~devices ~epochs ~churn_permille in
   (* The parallel harness.  Each worker domain owns one contiguous
      device range — chosen by index arithmetic, never by scheduling —
@@ -262,6 +259,14 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
   in
   let wver_merged = Array.make domains 0 in
   let wdev_merged = Array.make domains 0 in
+  (* Per-worker wake-driven slice state: the worker's devices that can
+     still act, how many of its sessions settled in the last slice, and
+     the earliest wake among the rest. *)
+  let active =
+    Array.init domains (fun _ -> Link.Wake_set.create ~universe:devices)
+  in
+  let wsettled = Array.make domains 0 in
+  let wnext = Array.make domains max_int in
   let merge_worker_clocks () =
     if domains > 1 then
       for w = 0 to domains - 1 do
@@ -318,13 +323,9 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
                 p.tampered <- true
               end
           | Fault_plan.Task_kill { name } ->
-              Array.iter
-                (fun p -> if p.serial = name then p.silenced <- true)
-                provers
+              by_serial name (fun p -> p.silenced <- true)
           | Fault_plan.Task_hang { name } ->
-              Array.iter
-                (fun p -> if p.serial = name then p.hung_epoch <- epoch)
-                provers
+              by_serial name (fun p -> p.hung_epoch <- epoch)
           | Fault_plan.Write_glitch _ | Fault_plan.Mmio_glitch _
           | Fault_plan.Irq_storm _ | Fault_plan.Burst_loss _
           | Fault_plan.Device_stall _ | Fault_plan.Late_reply _
@@ -343,7 +344,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
             if not (silent p ~epoch) then
               if Task_id.equal id p.loaded then begin
                 let mac =
-                  charged_on clock (fun () ->
+                  Cost_model.charge_hashing clock (fun () ->
                       Attestation.expected_mac ~ka:p.ka ~id ~nonce)
                 in
                 Link.send p.link ~from:Link.Device ~at
@@ -385,7 +386,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
           let p = provers.(d) in
           let platform_key = Registry.platform_key registry ~serial:p.serial in
           p.ka <-
-            charged_on device_clock (fun () ->
+            Cost_model.charge_hashing device_clock (fun () ->
                 Attestation.derive_ka ~platform_key)
         end)
       churn.(e);
@@ -416,6 +417,9 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
           || rebooted.(d)
           || silent p ~epoch:e
       done;
+    let challenged_n =
+      Array.fold_left (fun n c -> if c then n + 1 else n) 0 challenge
+    in
     let sessions : Verifier.t option array = Array.make devices None in
     (* Correlation ids and admission events are recorded sequentially,
        in device order, before any parallel work touches the epoch. *)
@@ -434,6 +438,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
        session (the dominant cost), charged to the worker's clock. *)
     Domain_pool.run pool (fun w ->
         let lo, hi = ranges.(w) in
+        Link.Wake_set.clear active.(w);
         for d = lo to hi - 1 do
           if challenge.(d) then begin
             let p = provers.(d) in
@@ -445,7 +450,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
                      session re-derives the device's Ka from the
                      registry and re-runs the HMAC check itself. *)
                   let ka =
-                    charged_on wver.(w) (fun () ->
+                    Cost_model.charge_hashing wver.(w) (fun () ->
                         Registry.attestation_key registry ~serial:p.serial)
                   in
                   Verifier.create ~ka ~expected:fw_id ~backoff
@@ -463,73 +468,82 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
                         ~serial:p.serial ~expected:fw_id ~nonce report)
                     ~session ()
             in
-            sessions.(d) <- Some v
+            sessions.(d) <- Some v;
+            Link.Wake_set.add active.(w) d
           end
         done);
     let stash = Array.make devices None in
-    let all_settled () =
-      Array.for_all
-        (fun v ->
-          match v with
-          | None -> true
-          | Some v -> Verifier.outcome v <> Verifier.Pending)
-        sessions
+    (* Wake-driven slices (DESIGN.md §18).  A challenged device can act
+       in slice [at] only if a frame on its link is due or its session's
+       retry timer fires; any other visit is a no-op.  So each worker
+       sweeps its active set, visiting in device order just the devices
+       whose wake has come, and the loop jumps to the earliest wake left
+       — the visits, sync points and final slice of visiting everyone
+       every slice, minus the no-ops.  Carried devices (no session) are
+       never members: they have no wire traffic this epoch. *)
+    let wake d =
+      match sessions.(d) with
+      | None -> max_int
+      | Some v -> min (Link.next_due provers.(d).link) (Verifier.next_wake v)
     in
+    let visit w ~at d =
+      let v = Option.get sessions.(d) in
+      let p = provers.(d) in
+      let was_pending = Verifier.outcome v = Verifier.Pending in
+      prover_step p ~epoch:e ~at ~clock:wdev.(w);
+      List.iter
+        (fun frame ->
+          let before = Verifier.outcome v in
+          (* Scalar sessions verify inline, so the frame handler is where
+             their crypto burns; the aggregator's check charges itself
+             internally — wrapping it here would double-count. *)
+          (match aggregator with
+          | None ->
+              Cost_model.charge_hashing wver.(w) (fun () ->
+                  Verifier.on_frame v frame)
+          | Some _ -> Verifier.on_frame v frame);
+          if before = Verifier.Pending && Verifier.outcome v = Verifier.Attested
+          then
+            match Protocol.decode frame with
+            | Ok (Protocol.Response { report; _ }) -> stash.(d) <- Some report
+            | _ -> ())
+        (Link.deliver p.link ~to_:Link.Remote ~at);
+      (match Verifier.poll v ~at with
+      | Some frame -> Link.send p.link ~from:Link.Remote ~at frame
+      | None -> ());
+      if was_pending && Verifier.outcome v <> Verifier.Pending then
+        wsettled.(w) <- wsettled.(w) + 1
+    in
+    let pending = ref challenged_n in
     let slice = ref 0 in
-    while (not (all_settled ())) && !slice <= slice_cap do
+    while !pending > 0 && !slice <= slice_cap do
       let at = !slice in
       Domain_pool.run pool (fun w ->
-          let lo, hi = ranges.(w) in
-          for d = lo to hi - 1 do
-            match sessions.(d) with
-            | None -> ()  (* carried: no wire traffic this epoch *)
-            | Some v ->
-                let p = provers.(d) in
-                prover_step p ~epoch:e ~at ~clock:wdev.(w);
-                List.iter
-                  (fun frame ->
-                    let before = Verifier.outcome v in
-                    (* Scalar sessions verify inline, so the frame
-                       handler is where their crypto burns; the
-                       aggregator's check charges itself internally —
-                       wrapping it here would double-count. *)
-                    (match aggregator with
-                    | None ->
-                        charged_on wver.(w) (fun () ->
-                            Verifier.on_frame v frame)
-                    | Some _ -> Verifier.on_frame v frame);
-                    if
-                      before = Verifier.Pending
-                      && Verifier.outcome v = Verifier.Attested
-                    then
-                      match Protocol.decode frame with
-                      | Ok (Protocol.Response { report; _ }) ->
-                          stash.(d) <- Some report
-                      | _ -> ())
-                  (Link.deliver p.link ~to_:Link.Remote ~at);
-                (match Verifier.poll v ~at with
-                | Some frame -> Link.send p.link ~from:Link.Remote ~at frame
-                | None -> ())
-          done);
+          wsettled.(w) <- 0;
+          wnext.(w) <-
+            Link.Wake_set.sweep active.(w) ~at ~wake ~visit:(visit w ~at));
       (* Sequential sync point: queued admissions land in shard (=
          device) order, exactly where the sequential engine admitted
          them inline. *)
       (match aggregator with Some a -> Aggregator.drain a | None -> ());
-      incr slice
+      pending := !pending - Array.fold_left ( + ) 0 wsettled;
+      slice :=
+        Link.Wake_set.next_slice ~at ~cap:slice_cap ~settled:(!pending = 0)
+          (Array.fold_left min max_int wnext)
     done;
     (* Anything still pending past the cap has exhausted its schedule:
-       drive the state machine until it concedes. *)
+       drive the state machine until it concedes.  A pending session's
+       device is always still active. *)
     Array.iter
-      (fun v ->
-        match v with
-        | None -> ()
-        | Some v ->
+      (fun set ->
+        Link.Wake_set.iter set (fun d ->
+            let v = Option.get sessions.(d) in
             let at = ref (2 * slice_cap) in
             while Verifier.outcome v = Verifier.Pending do
               ignore (Verifier.poll v ~at:!at);
               at := !at + slice_cap
-            done)
-      sessions;
+            done))
+      active;
     obs_at := base + !slice;
     (* Devices carried on liveness: charge the keepalive processing and
        stamp their retained slots alive before the epoch seals. *)
@@ -603,7 +617,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
               let healthy =
                 match (stash.(d), Verifier.outcome (Option.get sessions.(d))) with
                 | Some report, Verifier.Attested ->
-                    charged_on verifier_clock (fun () ->
+                    Cost_model.charge_hashing verifier_clock (fun () ->
                         let ka =
                           Registry.attestation_key registry
                             ~serial:provers.(d).serial
@@ -630,7 +644,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
                    with
                   | Some report, Verifier.Attested ->
                       if
-                        charged_on wver.(w) (fun () ->
+                        Cost_model.charge_hashing wver.(w) (fun () ->
                             let ka =
                               Registry.attestation_key registry
                                 ~serial:provers.(d).serial
@@ -680,9 +694,6 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     Telemetry.observe telemetry ~component:"swarm" "epoch_verify_cycles"
       verify_cycles;
     let count c = String.fold_left (fun n ch -> if ch = c then n + 1 else n) 0 in
-    let challenged_n =
-      Array.fold_left (fun n c -> if c then n + 1 else n) 0 challenge
-    in
     stats :=
       {
         epoch = e;

@@ -104,6 +104,19 @@ type session = {
   mutable started_at : int;  (* -1 while still queued *)
 }
 
+(* The closed-loop request calendar: a binary min-heap of
+   [due * stride + device] keys, so the root is the earliest request and
+   equal dues pop in device order.  A device is scheduled only while it
+   has no request outstanding, so it holds at most one entry and
+   [stride] (= the fleet size) slots always suffice. *)
+type calendar = {
+  keys : int array;
+  mutable size : int;
+  stride : int;
+  think : int;  (* slices a client waits after a verdict before asking again *)
+  ready : Link.Wake_set.t;  (* reused per slice: the due devices, ascending *)
+}
+
 type t = {
   cfg : config;
   seed : int;
@@ -113,6 +126,7 @@ type t = {
   fw_id : Task_id.t;
   genesis : bytes;  (* empty CFA log head for fw_id *)
   provers : prover array;
+  wired : Link.Wake_set.t;  (* devices with frames in flight on their link *)
   index_of : (string, int) Hashtbl.t;  (* serial -> prover index *)
   store : (string, dev_state) Hashtbl.t;
   by_seq : (string * int, session) Hashtbl.t;  (* live-session demux *)
@@ -147,26 +161,12 @@ type t = {
   mutable stale : int;
   mutable unknown : int;
   mutable latencies : int list;  (* settled sessions, newest first *)
-  mutable closed_next : int array;
-      (* per-device slice of the next closed-loop request; [||] in
-         open-loop mode.  A device with a session in flight is parked
-         at [max_int] until {!settle} reschedules it. *)
-  mutable closed_think : int;
+  mutable closed : calendar option;
+      (* closed-loop mode only.  A device with a session in flight is
+         off the calendar until {!settle} reschedules it. *)
 }
 
 let serial_of i = Printf.sprintf "dev-%05d" i
-
-(* Crypto cycles charged by sampling the global compression counters —
-   the same discipline as [Swarm.charged]. *)
-let charged clock f =
-  let s1 = Crypto.Sha1.total_compressions () in
-  let s2 = Crypto.Sha256.total_compressions () in
-  let r = f () in
-  let d1 = Crypto.Sha1.total_compressions () - s1 in
-  let d2 = Crypto.Sha256.total_compressions () - s2 in
-  if d1 > 0 then Cycles.charge clock (d1 * Cost_model.crypto_per_compression);
-  if d2 > 0 then Cycles.charge clock (d2 * Cost_model.sha256_per_compression);
-  r
 
 (* The gateway-layer chaos schedule: correlated outages, wedged devices
    and deadline-crossing replies, seeded like [Swarm.fault_events] so
@@ -218,7 +218,8 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
   let corrupt_percent = if faults then 3 else 0 in
   let index_of = Hashtbl.create (devices * 2) in
   let genesis =
-    charged device_clock (fun () -> Attestation.cf_genesis ~id:fw_id)
+    Cost_model.charge_hashing device_clock (fun () ->
+        Attestation.cf_genesis ~id:fw_id)
   in
   let provers =
     Array.init devices (fun i ->
@@ -234,7 +235,8 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
         in
         let platform_key = Registry.platform_key registry ~serial in
         let ka =
-          charged device_clock (fun () -> Attestation.derive_ka ~platform_key)
+          Cost_model.charge_hashing device_clock (fun () ->
+              Attestation.derive_ka ~platform_key)
         in
         {
           serial;
@@ -271,6 +273,7 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
     fw_id;
     genesis;
     provers;
+    wired = Link.Wake_set.create ~universe:devices;
     index_of;
     store = Hashtbl.create (config.store_capacity * 2);
     by_seq = Hashtbl.create 1024;
@@ -307,9 +310,48 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
     stale = 0;
     unknown = 0;
     latencies = [];
-    closed_next = [||];
-    closed_think = 0;
+    closed = None;
   }
+
+(* ---- closed-loop calendar --------------------------------------------- *)
+
+let schedule c ~due d =
+  let key = (due * c.stride) + d in
+  let i = ref c.size in
+  c.size <- c.size + 1;
+  while !i > 0 && c.keys.((!i - 1) / 2) > key do
+    c.keys.(!i) <- c.keys.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  c.keys.(!i) <- key
+
+let next_due_device c =
+  let top = c.keys.(0) in
+  c.size <- c.size - 1;
+  let last = c.keys.(c.size) in
+  let i = ref 0 in
+  let sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    let m = if l + 1 < c.size && c.keys.(l + 1) < c.keys.(l) then l + 1 else l in
+    if m < c.size && c.keys.(m) < last then begin
+      c.keys.(!i) <- c.keys.(m);
+      i := m
+    end
+    else sifting := false
+  done;
+  c.keys.(!i) <- last;
+  top mod c.stride
+
+(* Every device whose request is due by [now], in ascending device
+   order — what a scan of the whole population would find, at the cost
+   of the requests actually due. *)
+let due_requests c ~now f =
+  while c.size > 0 && c.keys.(0) / c.stride <= now do
+    Link.Wake_set.add c.ready (next_due_device c)
+  done;
+  Link.Wake_set.iter c.ready f;
+  Link.Wake_set.clear c.ready
 
 (* ---- flight recorder -------------------------------------------------- *)
 
@@ -432,7 +474,8 @@ let lookup_store t ~serial =
   | None ->
       if Hashtbl.length t.store >= t.cfg.store_capacity then evict_lru t;
       let ka =
-        charged t.clock (fun () -> Registry.attestation_key t.registry ~serial)
+        Cost_model.charge_hashing t.clock (fun () ->
+            Registry.attestation_key t.registry ~serial)
       in
       t.key_derivations <- t.key_derivations + 1;
       let st =
@@ -565,10 +608,11 @@ let settle t (s : session) ~verdict =
   observe t ~corr:s.s_corr
     (Obs.Event.Session_settled
        { serial = s.s_serial; verdict = verdict_label verdict; latency });
-  (* Closed loop: the device's client thinks for [closed_think] slices
-     after its session concludes, then asks again. *)
-  if Array.length t.closed_next > 0 then
-    t.closed_next.(s.s_device) <- t.now + t.closed_think;
+  (* Closed loop: the device's client thinks for [think] slices after its
+     session concludes, then asks again. *)
+  (match t.closed with
+  | Some c -> schedule c ~due:(t.now + c.think) s.s_device
+  | None -> ());
   (match verdict with
   | V_attested ->
       t.attested <- t.attested + 1;
@@ -650,7 +694,8 @@ let route t (p : prover) frame =
           (match s.s_kind with
           | Batched -> Verifier.on_frame s.verifier frame
           | Static | Cfa ->
-              charged t.clock (fun () -> Verifier.on_frame s.verifier frame)))
+              Cost_model.charge_hashing t.clock (fun () ->
+                  Verifier.on_frame s.verifier frame)))
 
 let inject_frame t ~device frame =
   if device < 0 || device >= Array.length t.provers then
@@ -671,7 +716,7 @@ let prover_step t (p : prover) =
         | Ok (Protocol.Challenge { seq; id; nonce }) ->
             if Task_id.equal id p.id then begin
               let mac =
-                charged t.device_clock (fun () ->
+                Cost_model.charge_hashing t.device_clock (fun () ->
                     Attestation.expected_mac ~ka:p.ka ~id ~nonce)
               in
               Link.send p.link ~from:Link.Device ~at:reply_at
@@ -687,7 +732,7 @@ let prover_step t (p : prover) =
               (* Quiescent device: the honest answer is the empty log,
                  anchored at the genesis digest. *)
               let mac =
-                charged t.device_clock (fun () ->
+                Cost_model.charge_hashing t.device_clock (fun () ->
                     Attestation.expected_cfa_mac ~ka:p.ka ~id ~nonce
                       ~cf_digest:t.genesis ~base_digest:t.genesis ~edge_count:0)
               in
@@ -730,12 +775,19 @@ let step t =
     t.inflight <- s :: t.inflight;
     t.inflight_n <- t.inflight_n + 1
   done;
+  (* Only a device with a frame due on its link can do anything in the
+     two passes below, so each sweeps the [wired] set in device order and
+     skips the rest (DESIGN.md §18, "Wake-driven slices"). *)
+  let due d = Link.next_due t.provers.(d).link in
   (* Device side: provers answer what reached them. *)
-  Array.iter (fun p -> prover_step t p) t.provers;
+  ignore
+    (Link.Wake_set.sweep t.wired ~at ~wake:due ~visit:(fun d ->
+         prover_step t t.provers.(d)));
   (* Remote side: route every arrived frame to its session. *)
-  Array.iter
-    (fun p -> List.iter (route t p) (Link.deliver p.link ~to_:Link.Remote ~at))
-    t.provers;
+  ignore
+    (Link.Wake_set.sweep t.wired ~at ~wake:due ~visit:(fun d ->
+         let p = t.provers.(d) in
+         List.iter (route t p) (Link.deliver p.link ~to_:Link.Remote ~at)));
   (* Poll, enforce deadlines, settle. *)
   let still = ref [] in
   List.iter
@@ -755,7 +807,8 @@ let step t =
                       (Obs.Event.Frame_sent { kind = frame_kind msg })
                 | Error _ -> ())
             | None -> ());
-            Link.send t.provers.(s.s_device).link ~from:Link.Remote ~at frame
+            Link.send t.provers.(s.s_device).link ~from:Link.Remote ~at frame;
+            Link.Wake_set.add t.wired s.s_device
         | None -> ());
         match Verifier.outcome s.verifier with
         | Verifier.Pending -> still := s :: !still
@@ -904,11 +957,22 @@ let run ?(config = default_config) ?(faults = false) ?(loss_percent = 10)
   | Closed_loop { think } ->
       (* Stagger first requests so the whole population does not slam
          the gateway at slice 0. *)
-      t.closed_next <- Array.init devices (fun i -> i mod (think + 1));
-      t.closed_think <- think);
+      let c =
+        {
+          keys = Array.make devices 0;
+          size = 0;
+          stride = devices;
+          think;
+          ready = Link.Wake_set.create ~universe:devices;
+        }
+      in
+      for d = 0 to devices - 1 do
+        schedule c ~due:(d mod (think + 1)) d
+      done;
+      t.closed <- Some c);
   for _ = 1 to slices do
-    (match arrival with
-    | Open_loop ->
+    (match t.closed with
+    | None ->
         (* Open-loop offered load: arrival_permille / 1000 arrivals per
            slice in expectation, device chosen uniformly.  The generator
            does not wait for the gateway — that is what makes overload
@@ -924,19 +988,16 @@ let run ?(config = default_config) ?(faults = false) ?(loss_percent = 10)
         for _ = 1 to n do
           ignore (arrive t ~device:(Fault_plan.Prng.int t.arrival_prng devices))
         done
-    | Closed_loop { think } ->
+    | Some c ->
         (* Closed-loop load: each device has one outstanding request at
            most; the next is issued [think] slices after the previous
            one settles (or is shed).  The generator waits for the
            gateway — load self-limits, which is what changes the shed
            profile versus the open-loop generator. *)
-        Array.iteri
-          (fun d due ->
-            if due <= t.now then
-              match arrive t ~device:d with
-              | Admitted -> t.closed_next.(d) <- max_int
-              | Shed _ -> t.closed_next.(d) <- t.now + think + 1)
-          t.closed_next);
+        due_requests c ~now:t.now (fun d ->
+            match arrive t ~device:d with
+            | Admitted -> ()
+            | Shed _ -> schedule c ~due:(t.now + c.think + 1) d));
     step t
   done;
   (* Drain: no new arrivals; the deadline bounds every started session,

@@ -123,19 +123,19 @@ let soak_tests =
    single-core hosts where spawning domains proves nothing. *)
 let parallel_tests =
   let multicore = Domain.recommended_domain_count () > 1 in
-  let identical ?(faults = false) ?(steady = false) ?(churn_permille = 0) ~mode
-      ~seed () =
+  let identical ?(devices = 16) ?(faults = false) ?(steady = false)
+      ?(churn_permille = 0) ~mode ~seed () =
     let go domains =
       Swarm.to_string
-        (Swarm.run ~mode ~devices:16 ~epochs:3 ~seed ~faults ~domains ~steady
+        (Swarm.run ~mode ~devices ~epochs:3 ~seed ~faults ~domains ~steady
            ~churn_permille ())
     in
     let sequential = go 1 in
     List.iter
       (fun domains ->
         Alcotest.(check string)
-          (Printf.sprintf "%s seed=%d faults=%b steady=%b: %d domains"
-             (Swarm.mode_label mode) seed faults steady domains)
+          (Printf.sprintf "%s devices=%d seed=%d faults=%b steady=%b: %d domains"
+             (Swarm.mode_label mode) devices seed faults steady domains)
           sequential (go domains))
       [ 2; 4 ]
   in
@@ -160,6 +160,21 @@ let parallel_tests =
              ~churn_permille:80 ();
            identical ~mode:Swarm.Incremental ~seed:9 ~faults:true ~steady:true
              ~churn_permille:40 ()));
+    Alcotest.test_case "faulted 1024-device campaign shards identically" `Quick
+      (guarded (fun () ->
+           (* Large enough that hung and killed devices hold every epoch
+              open to the give-up cap, so the wake-driven loop really
+              jumps between retry slices on every worker — and the jumps
+              must agree with the sequential run's, slice for slice. *)
+           let r =
+             Swarm.run ~mode:Swarm.Incremental ~devices:1024 ~epochs:3 ~seed:4
+               ~faults:true ()
+           in
+           Alcotest.(check bool) "some epoch ran to the give-up cap" true
+             (List.exists (fun (e : Swarm.epoch_stats) -> e.Swarm.gave_up > 0)
+                r.Swarm.per_epoch);
+           identical ~devices:1024 ~mode:Swarm.Incremental ~seed:4 ~faults:true
+             ()));
   ]
 
 (* --- Steady state ------------------------------------------------------------ *)

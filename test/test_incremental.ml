@@ -438,6 +438,50 @@ let counter_tests =
         check_int "my domain saw only my 2" 2 mine;
         check_bool "other domain saw at least its 100" true (theirs >= 100);
         check_int "global saw everything" 102 (Sha256.total_compressions () - g0));
+    Alcotest.test_case "charging is exact while another domain hashes" `Quick
+      (fun () ->
+        (* Every engine charges crypto through [Cost_model.charge_hashing].
+           Here the main domain charges its own SHA-1 and SHA-256 work
+           while a second domain hashes throughout the charged window —
+           at least 50 rounds of it, by construction — and the bill must
+           still be exactly the main domain's compressions. *)
+        let module Cycles = Tytan_machine.Cycles in
+        let module Cost_model = Tytan_core.Cost_model in
+        let started = Atomic.make false in
+        let stop = Atomic.make false in
+        let rounds = Atomic.make 0 in
+        let other =
+          Domain.spawn (fun () ->
+              Atomic.set started true;
+              while not (Atomic.get stop) do
+                ignore (Sha1.digest (Bytes.make 64 'o'));
+                ignore (Sha256.digest (Bytes.make 64 'o'));
+                Atomic.incr rounds
+              done)
+        in
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        let clock = Cycles.create () in
+        let g0 = Sha1.total_compressions () in
+        let r0 = Atomic.get rounds in
+        let mine = ref 0 in
+        Cost_model.charge_hashing clock (fun () ->
+            while Atomic.get rounds - r0 < 50 do
+              ignore (Sha1.digest (Bytes.make 64 'm'));
+              ignore (Sha256.digest (Bytes.make 64 'm'));
+              incr mine
+            done);
+        let global = Sha1.total_compressions () - g0 in
+        Atomic.set stop true;
+        Domain.join other;
+        check_int "charged exactly this domain's compressions"
+          (!mine
+          * ((2 * Cost_model.crypto_per_compression)
+            + (2 * Cost_model.sha256_per_compression)))
+          (Cycles.now clock);
+        check_bool "a process-global sampler would have overcharged" true
+          (global > 2 * !mine));
   ]
 
 (* --- Merkle.Inc: dirty-path commit == full rebuild ------------------------- *)

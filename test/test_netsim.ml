@@ -526,6 +526,203 @@ let session_tests =
           (Verifier.nonce v1 <> Verifier.nonce other));
   ]
 
+(* --- Wake-driven skipping: the no-op predicate is sound --------------------- *)
+
+(* The fleet engines skip a device in slice [at] when [Link.next_due] and
+   its session's [Verifier.next_wake] both lie after [at].  These
+   properties pin both halves of that predicate on random programs: a
+   probe the predicate calls idle must change nothing, and the wake
+   times must be tight — at the reported slice something does happen —
+   so skipping to them never delays an action. *)
+
+type link_op =
+  | Send of Link.side * int  (* payload length *)
+  | Deliver of Link.side
+  | Burst of int  (* window length from now *)
+
+let link_program_gen =
+  QCheck.Gen.(
+    let side = oneofl [ Link.Device; Link.Remote ] in
+    let op =
+      frequency
+        [
+          (5, map2 (fun s n -> Send (s, n)) side (int_range 0 12));
+          (3, map (fun s -> Deliver s) side);
+          (1, map (fun n -> Burst n) (int_range 1 6));
+        ]
+    in
+    pair
+      (quad (int_bound 10_000) (int_range 0 40) (int_range 0 3) (int_range 0 20))
+      (list_size (int_range 1 60) (pair (int_range 0 3) op)))
+
+let print_link_program ((seed, loss, delay, faults), ops) =
+  Printf.sprintf "seed=%d loss=%d delay=%d faults=%d ops=[%s]" seed loss delay
+    faults
+    (String.concat "; "
+       (List.map
+          (fun (dt, op) ->
+            let side = function Link.Device -> "D" | Link.Remote -> "R" in
+            match op with
+            | Send (s, n) -> Printf.sprintf "+%d send %s %d" dt (side s) n
+            | Deliver s -> Printf.sprintf "+%d deliver %s" dt (side s)
+            | Burst n -> Printf.sprintf "+%d burst %d" dt n)
+          ops))
+
+type session_op =
+  | Poll
+  | Refuse  (* a refusal carrying the session's own sequence *)
+  | Junk
+
+let session_program_gen =
+  QCheck.Gen.(
+    pair
+      (quad (int_range 1 6) bool (int_range 1 10) (int_range 1 2))
+      (list_size (int_range 1 40)
+         (pair (int_range 0 20)
+            (frequency
+               [ (6, return Poll); (1, return Refuse); (1, return Junk) ]))))
+
+let print_session_program ((attempts, backoff, timeout, refusals), ops) =
+  Printf.sprintf "attempts=%d backoff=%b timeout=%d refusals=%d ops=[%s]"
+    attempts backoff timeout refusals
+    (String.concat "; "
+       (List.map
+          (fun (dt, op) ->
+            Printf.sprintf "+%d %s" dt
+              (match op with
+              | Poll -> "poll"
+              | Refuse -> "refuse"
+              | Junk -> "junk"))
+          ops))
+
+let wake_property_tests =
+  let to_alcotest = QCheck_alcotest.to_alcotest in
+  let fw = Task_id.of_image (Bytes.of_string "wake-test-firmware") in
+  let ka = Attestation.derive_ka ~platform_key:(Bytes.make 20 'W') in
+  [
+    to_alcotest
+      (QCheck.Test.make
+         ~name:"wake set: sweeps due members in index order, drops the done"
+         ~count:300
+         QCheck.(
+           triple
+             (list_of_size Gen.(int_range 0 40) (int_bound 31))
+             (array_of_size (Gen.return 32)
+                (make
+                   Gen.(frequency [ (4, int_bound 10); (1, return max_int) ])))
+             (int_bound 10))
+         (fun (adds, wakes, at) ->
+           let set = Link.Wake_set.create ~universe:32 in
+           List.iter (Link.Wake_set.add set) adds;
+           let members = List.sort_uniq compare adds in
+           let visited = ref [] in
+           let next =
+             Link.Wake_set.sweep set ~at
+               ~wake:(fun i -> wakes.(i))
+               ~visit:(fun i -> visited := i :: !visited)
+           in
+           let kept = List.filter (fun i -> wakes.(i) < max_int) members in
+           let left = ref [] in
+           Link.Wake_set.iter set (fun i -> left := i :: !left);
+           List.rev !visited = List.filter (fun i -> wakes.(i) <= at) members
+           && List.rev !left = kept
+           && next = List.fold_left (fun m i -> min m wakes.(i)) max_int kept));
+    to_alcotest
+      (QCheck.Test.make ~name:"link: nothing due means delivery is a no-op"
+         ~count:300
+         (QCheck.make ~print:print_link_program link_program_gen)
+         (fun ((seed, loss_percent, delay, faults), ops) ->
+           let link =
+             Link.create ~seed ~loss_percent ~delay ~corrupt_percent:faults
+               ~duplicate_percent:faults ~reorder_percent:faults ()
+           in
+           let at = ref 0 in
+           let idle_probe_ok () =
+             let due = Link.next_due link in
+             due <= !at
+             ||
+             let before = Link.counters link in
+             let to_device = Link.deliver link ~to_:Link.Device ~at:!at in
+             let to_remote = Link.deliver link ~to_:Link.Remote ~at:!at in
+             to_device = [] && to_remote = []
+             && Link.counters link = before
+             && Link.next_due link = due
+           in
+           let program_ok =
+             List.for_all
+               (fun (dt, op) ->
+                 at := !at + dt;
+                 let ok = idle_probe_ok () in
+                 (match op with
+                 | Send (from, n) ->
+                     Link.send link ~from ~at:!at (Bytes.make n 'x')
+                 | Deliver to_ -> ignore (Link.deliver link ~to_ ~at:!at)
+                 | Burst n -> Link.set_burst link ~until:(!at + n));
+                 ok)
+               ops
+           in
+           (* Tightness: draining slice by slice at [next_due] always
+              finds a frame, and the link empties to [max_int]. *)
+           let rec drain steps =
+             let due = Link.next_due link in
+             if due = max_int then true
+             else if steps = 0 then false
+             else
+               let frames =
+                 Link.deliver link ~to_:Link.Device ~at:due
+                 @ Link.deliver link ~to_:Link.Remote ~at:due
+               in
+               frames <> [] && drain (steps - 1)
+           in
+           program_ok && drain 1000));
+    to_alcotest
+      (QCheck.Test.make
+         ~name:"verifier: polls before next_wake are no-ops; settled never wakes"
+         ~count:300
+         (QCheck.make ~print:print_session_program session_program_gen)
+         (fun ((max_attempts, backoff, timeout_slices, refusals_to_settle), ops)
+         ->
+           let v =
+             Verifier.create ~ka ~expected:fw ~timeout_slices
+               ?backoff:(if backoff then Some Verifier.default_backoff else None)
+               ~max_attempts ~refusals_to_settle ~session:"wake-prop" ()
+           in
+           let settled_ok () =
+             Verifier.outcome v = Verifier.Pending
+             || Verifier.next_wake v = max_int
+           in
+           let at = ref 0 in
+           List.for_all
+             (fun (dt, op) ->
+               at := !at + dt;
+               let ok =
+                 match op with
+                 | Poll ->
+                     let wake = Verifier.next_wake v in
+                     let outcome = Verifier.outcome v in
+                     let attempts = Verifier.attempts v in
+                     let sent = Verifier.poll v ~at:!at in
+                     if !at < wake then
+                       sent = None
+                       && Verifier.outcome v = outcome
+                       && Verifier.attempts v = attempts
+                       && Verifier.next_wake v = wake
+                     else
+                       (* Tight: a due poll either transmits or gives up. *)
+                       sent <> None || Verifier.outcome v = Verifier.Gave_up
+                 | Refuse ->
+                     Verifier.on_frame v
+                       (Protocol.encode
+                          (Protocol.Refusal { seq = Verifier.seq v }));
+                     true
+                 | Junk ->
+                     Verifier.on_frame v (Bytes.of_string "\xff junk");
+                     true
+               in
+               ok && settled_ok ())
+             ops));
+  ]
+
 let () =
   Alcotest.run "netsim"
     [
@@ -535,4 +732,5 @@ let () =
       ("cosim", cosim_tests);
       ("cfa-cosim", cfa_cosim_tests);
       ("verifier-session", session_tests);
+      ("wake-properties", wake_property_tests);
     ]

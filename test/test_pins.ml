@@ -1,0 +1,152 @@
+(* Pinned report digests for the three fleet engines.
+
+   Each digest below is the last line of the engine's [to_string]
+   report — a SHA-1 over verdicts, settle slices, sealed roots, both
+   cycle clocks, link counters and telemetry — recorded from the engines
+   as they stood before the wake-driven slice loops (DESIGN.md §18).
+   Skipping a device only when its visit is a provable no-op must leave
+   every one of them byte-identical; any drift means a skipped visit was
+   not a no-op after all. *)
+
+open Tytan_provision
+module Gateway = Tytan_serve.Gateway
+module Rollout = Tytan_ota.Rollout
+module Tasks = Tytan_tasks.Task_lib
+module Task_id = Tytan_core.Task_id
+module Sha1 = Tytan_crypto.Sha1
+
+let digest_line report =
+  match List.rev (String.split_on_char '\n' (String.trim report)) with
+  | last :: _ -> last
+  | [] -> ""
+
+(* --- the campaigns ------------------------------------------------------- *)
+
+let swarm_cases =
+  List.concat_map
+    (fun mode ->
+      List.concat_map
+        (fun seed ->
+          let run ~faults ~steady ~churn_permille =
+            digest_line
+              (Swarm.to_string
+                 (Swarm.run ~mode ~devices:96 ~epochs:3 ~seed ~faults ~steady
+                    ~churn_permille ()))
+          in
+          let name kind =
+            Printf.sprintf "swarm/%s/%s/seed-%d" (Swarm.mode_label mode) kind seed
+          in
+          [
+            ( name "faults",
+              fun () -> run ~faults:true ~steady:false ~churn_permille:0 );
+            (* Steady state needs the incremental engine; the other modes
+               run the same churn schedule as full sweeps. *)
+            ( name "steady-churn-10",
+              fun () ->
+                run ~faults:false ~steady:(mode = Swarm.Incremental)
+                  ~churn_permille:10 );
+          ])
+        [ 1; 2; 3 ])
+    [ Swarm.Scalar; Swarm.Batched; Swarm.Incremental ]
+
+let gateway_cases =
+  let run ?arrival ?(faults = false) ~devices ~slices ~rate ~seed () =
+    digest_line
+      (Gateway.to_string
+         (Gateway.run ?arrival ~faults ~devices ~slices ~arrival_permille:rate
+            ~seed ()))
+  in
+  [
+    ( "gateway/open-loop",
+      fun () -> run ~devices:64 ~slices:200 ~rate:6000 ~seed:1 () );
+    ( "gateway/closed-loop",
+      fun () ->
+        run
+          ~arrival:(Gateway.Closed_loop { think = 4 })
+          ~devices:32 ~slices:160 ~rate:0 ~seed:2 () );
+    ( "gateway/faults",
+      fun () -> run ~faults:true ~devices:64 ~slices:200 ~rate:8000 ~seed:3 () );
+  ]
+
+let platform_key_of ~serial =
+  Sha1.digest (Bytes.of_string ("pin-platform-key:" ^ serial))
+
+let clean_wave v =
+  {
+    Rollout.label = Printf.sprintf "clean-%d" v;
+    version = v;
+    image = Tasks.yielder ~count:(2 + v) ();
+  }
+
+let rollout_cases =
+  let run ?(faults = false) ~seed waves () =
+    digest_line
+      (Rollout.to_string
+         (Rollout.run ~devices:24 ~canary:4 ~seed ~faults ~platform_key_of
+            ~incumbent:(Tasks.counter ()) waves))
+  in
+  let stale =
+    { Rollout.label = "stale"; version = 1; image = Tasks.yielder ~count:3 () }
+  in
+  let leaky =
+    {
+      Rollout.label = "leaky";
+      version = 3;
+      image =
+        Tasks.key_leaker
+          ~receiver:(Task_id.of_image (Bytes.of_string "exfil-sink"))
+          ();
+    }
+  in
+  [
+    ("rollout/clean", run ~seed:1 [ clean_wave 1; clean_wave 2 ]);
+    ( "rollout/stale-leaky",
+      run ~seed:2 [ clean_wave 1; clean_wave 2; stale; leaky ] );
+    ( "rollout/faults",
+      run ~faults:true ~seed:5 [ clean_wave 1; clean_wave 2; clean_wave 3 ] );
+  ]
+
+let cases = swarm_cases @ gateway_cases @ rollout_cases
+
+(* --- the pins ------------------------------------------------------------ *)
+
+let pins =
+  [
+    ("swarm/scalar/faults/seed-1", "digest: sha1:3799d627a6eca17984f48412e66c838573215161");
+    ("swarm/scalar/steady-churn-10/seed-1", "digest: sha1:2304fcaf5895687eb6f047cf55bb71b05ad70f19");
+    ("swarm/scalar/faults/seed-2", "digest: sha1:002ae78ca8062e7cd70aafe1c6c2a48643cd1a92");
+    ("swarm/scalar/steady-churn-10/seed-2", "digest: sha1:58525baba0b343ad5e8d89de6aa0b64355884411");
+    ("swarm/scalar/faults/seed-3", "digest: sha1:abe5f01482d3d947123e702c4cd095728aecd3f7");
+    ("swarm/scalar/steady-churn-10/seed-3", "digest: sha1:ab95b21720d31b273592915a507f776a5aac68a7");
+    ("swarm/batched/faults/seed-1", "digest: sha1:c264e39f63c06f5bdd54fcb2ea86c0855df73610");
+    ("swarm/batched/steady-churn-10/seed-1", "digest: sha1:99de29f44798fb8c5f9436a050482e823b9b61c9");
+    ("swarm/batched/faults/seed-2", "digest: sha1:2df8f1cffe16c379899d075974352d313dfe8544");
+    ("swarm/batched/steady-churn-10/seed-2", "digest: sha1:27b774e5fac2f1745c3d1629d7a170d516063f8f");
+    ("swarm/batched/faults/seed-3", "digest: sha1:957d4f1d8b9abcc54587aebe023a383b3921d259");
+    ("swarm/batched/steady-churn-10/seed-3", "digest: sha1:15af5d6a75c11ed5b4d0338dd21c0d07bac6fd8c");
+    ("swarm/incremental/faults/seed-1", "digest: sha1:b66f52d70552cd37135926d6bfd576fb39f7233c");
+    ("swarm/incremental/steady-churn-10/seed-1", "digest: sha1:42eef45b06681e9d49df594282104869e25d4a75");
+    ("swarm/incremental/faults/seed-2", "digest: sha1:f868ecf1e646e892093f01b9239265d7bc159f87");
+    ("swarm/incremental/steady-churn-10/seed-2", "digest: sha1:780cf4fdd7ec07ca6142d2689a848cee28bb8f7e");
+    ("swarm/incremental/faults/seed-3", "digest: sha1:71ed4bd624b0ae3d1c82a13eaeb14d91cf65f4a7");
+    ("swarm/incremental/steady-churn-10/seed-3", "digest: sha1:4d0f2cab54047148b54feddbe7425a137302634b");
+    ("gateway/open-loop", "digest: sha1:fa610d5bf0dc7c82565dd7824fba980e0a53edba");
+    ("gateway/closed-loop", "digest: sha1:bfc46eca951a3433de1ee5bb7324df428d1e54e3");
+    ("gateway/faults", "digest: sha1:c524877614a9b024e7f7c2e3de3bf8867c51d0d6");
+    ("rollout/clean", "digest: sha1:4a2f6e489890af62e552524ca1bb007766a253ab");
+    ("rollout/stale-leaky", "digest: sha1:c8b5a20ee5fe10a91694d742c443830776584f18");
+    ("rollout/faults", "digest: sha1:ba1c90e41d56e2c8a7b1a3aa523abb2a708b646f");
+  ]
+
+let pinned_tests =
+  List.map
+    (fun (name, thunk) ->
+      Alcotest.test_case name `Quick (fun () ->
+          match List.assoc_opt name pins with
+          | None -> Alcotest.failf "%s: no pinned digest" name
+          | Some expected ->
+              Alcotest.(check string)
+                (name ^ " report digest") expected (thunk ())))
+    cases
+
+let () = Alcotest.run "pins" [ ("engine digests", pinned_tests) ]
