@@ -72,7 +72,8 @@ val conflicts : t -> rule -> (int * rule) list
 val check :
   t -> eip:Word.t -> addr:Word.t -> size:int -> kind:Access.kind -> unit
 (** The hardware check consulted on every fetch/load/store.  No-op while
-    the unit is disabled.  @raise Tytan_machine.Access.Violation on
-    denial. *)
+    the unit is disabled.  It reads a compiled int table that every slot
+    write updates before returning, and allocates nothing unless it
+    denies.  @raise Tytan_machine.Access.Violation on denial. *)
 
 val pp : Format.formatter -> t -> unit

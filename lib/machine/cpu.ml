@@ -192,98 +192,103 @@ let set_flags_from t result =
 let[@inline] notify t ~src ~dst kind =
   match t.on_branch with None -> () | Some f -> f ~src ~dst ~kind
 
+(* Direct calls only: [execute] runs once per instruction, and a local
+   closure or partial application here would allocate every time. *)
+let get = Regfile.get
+let set = Regfile.set
+
+let relative next displacement =
+  Word.add next (Word.of_signed (Word.to_signed displacement))
+
 let execute t pc instr =
   let r = t.regs in
-  let get = Regfile.get r in
-  let set = Regfile.set r in
   let next = Word.add pc Isa.width in
   Regfile.set_eip r next;
-  let relative displacement = Word.add next (Word.of_signed (Word.to_signed displacement)) in
   match instr with
   | Isa.Nop -> ()
-  | Isa.Movi (rd, imm) -> set rd imm
-  | Isa.Mov (rd, rs1) -> set rd (get rs1)
+  | Isa.Movi (rd, imm) -> set r rd imm
+  | Isa.Mov (rd, rs1) -> set r rd (get r rs1)
   | Isa.Add (rd, a, b) ->
-      let v = Word.add (get a) (get b) in
-      set rd v;
+      let v = Word.add (get r a) (get r b) in
+      set r rd v;
       set_flags_from t v
   | Isa.Addi (rd, a, imm) ->
-      let v = Word.add (get a) imm in
-      set rd v;
+      let v = Word.add (get r a) imm in
+      set r rd v;
       set_flags_from t v
   | Isa.Sub (rd, a, b) ->
-      let v = Word.sub (get a) (get b) in
-      set rd v;
+      let v = Word.sub (get r a) (get r b) in
+      set r rd v;
       set_flags_from t v
   | Isa.Mul (rd, a, b) ->
-      let v = Word.mul (get a) (get b) in
-      set rd v;
+      let v = Word.mul (get r a) (get r b) in
+      set r rd v;
       set_flags_from t v
-  | Isa.And (rd, a, b) -> set rd (Word.logand (get a) (get b))
-  | Isa.Or (rd, a, b) -> set rd (Word.logor (get a) (get b))
-  | Isa.Xor (rd, a, b) -> set rd (Word.logxor (get a) (get b))
-  | Isa.Shl (rd, a, n) -> set rd (Word.shift_left (get a) n)
-  | Isa.Shr (rd, a, n) -> set rd (Word.shift_right_logical (get a) n)
+  | Isa.And (rd, a, b) -> set r rd (Word.logand (get r a) (get r b))
+  | Isa.Or (rd, a, b) -> set r rd (Word.logor (get r a) (get r b))
+  | Isa.Xor (rd, a, b) -> set r rd (Word.logxor (get r a) (get r b))
+  | Isa.Shl (rd, a, n) -> set r rd (Word.shift_left (get r a) n)
+  | Isa.Shr (rd, a, n) -> set r rd (Word.shift_right_logical (get r a) n)
   | Isa.Cmp (a, b) ->
-      let v = Word.sub (get a) (get b) in
+      let v = Word.sub (get r a) (get r b) in
       set_flags_from t v;
-      Regfile.set_carry r (get a < get b)
+      Regfile.set_carry r (get r a < get r b)
   | Isa.Cmpi (a, imm) ->
-      let v = Word.sub (get a) imm in
+      let v = Word.sub (get r a) imm in
       set_flags_from t v;
-      Regfile.set_carry r (get a < imm)
-  | Isa.Ldw (rd, a, imm) -> set rd (load32 t (Word.add (get a) imm))
-  | Isa.Stw (a, imm, b) -> store32 t (Word.add (get a) imm) (get b)
-  | Isa.Ldb (rd, a, imm) -> set rd (load8 t (Word.add (get a) imm))
-  | Isa.Stb (a, imm, b) -> store8 t (Word.add (get a) imm) (get b land 0xFF)
+      Regfile.set_carry r (get r a < imm)
+  | Isa.Ldw (rd, a, imm) -> set r rd (load32 t (Word.add (get r a) imm))
+  | Isa.Stw (a, imm, b) -> store32 t (Word.add (get r a) imm) (get r b)
+  | Isa.Ldb (rd, a, imm) -> set r rd (load8 t (Word.add (get r a) imm))
+  | Isa.Stb (a, imm, b) -> store8 t (Word.add (get r a) imm) (get r b land 0xFF)
   | Isa.Jmp d ->
-      let dst = relative d in
+      let dst = relative next d in
       Regfile.set_eip r dst;
       notify t ~src:pc ~dst Direct_jump
   | Isa.Jz d ->
       if Regfile.zero_flag r then begin
-        let dst = relative d in
+        let dst = relative next d in
         Regfile.set_eip r dst;
         notify t ~src:pc ~dst Cond_taken
       end
   | Isa.Jnz d ->
       if not (Regfile.zero_flag r) then begin
-        let dst = relative d in
+        let dst = relative next d in
         Regfile.set_eip r dst;
         notify t ~src:pc ~dst Cond_taken
       end
   | Isa.Jlt d ->
       if Regfile.negative_flag r then begin
-        let dst = relative d in
+        let dst = relative next d in
         Regfile.set_eip r dst;
         notify t ~src:pc ~dst Cond_taken
       end
   | Isa.Jge d ->
       if not (Regfile.negative_flag r) then begin
-        let dst = relative d in
+        let dst = relative next d in
         Regfile.set_eip r dst;
         notify t ~src:pc ~dst Cond_taken
       end
   | Isa.Jmpr a ->
-      let dst = get a in
+      let dst = get r a in
       Regfile.set_eip r dst;
       notify t ~src:pc ~dst Indirect_jump
   | Isa.Call d ->
-      set Regfile.lr next;
-      let dst = relative d in
+      set r Regfile.lr next;
+      let dst = relative next d in
       Regfile.set_eip r dst;
       notify t ~src:pc ~dst Direct_call
   | Isa.Callr a ->
-      set Regfile.lr next;
-      let dst = get a in
+      set r Regfile.lr next;
+      let dst = get r a in
       Regfile.set_eip r dst;
       notify t ~src:pc ~dst Indirect_call
   | Isa.Ret ->
-      let dst = get Regfile.lr in
+      let dst = get r Regfile.lr in
       Regfile.set_eip r dst;
       notify t ~src:pc ~dst Return
-  | Isa.Push a -> push_word t (get a)
-  | Isa.Pop rd -> set rd (pop_word t)
+  | Isa.Push a -> push_word t (get r a)
+  | Isa.Pop rd -> set r rd (pop_word t)
   | Isa.Swi n ->
       (* dst is the SWI number, not an address: which service was asked
          for is exactly what a control-flow log needs to record. *)
@@ -311,7 +316,7 @@ let step t =
             the same path as a protection violation so the OS can contain
             the faulting task. *)
          let instr =
-           try Isa.decode (Memory.read_bytes t.mem pc Isa.width)
+           try Memory.fetch t.mem pc
            with Invalid_argument _ ->
              Access.violation ~eip:pc ~addr:pc ~size:Isa.width
                ~kind:Access.Execute "illegal opcode"

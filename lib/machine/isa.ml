@@ -106,13 +106,17 @@ let encode instr =
   Bytes.set_int32_le b imm_field_offset (Int32.of_int imm);
   b
 
-let decode b =
-  if Bytes.length b <> width then invalid_arg "Isa.decode: wrong length";
-  let op = Char.code (Bytes.get b 0) in
-  let rd = Char.code (Bytes.get b 1) land 0xF in
-  let rs1 = Char.code (Bytes.get b 2) land 0xF in
-  let rs2 = Char.code (Bytes.get b 3) land 0xF in
-  let imm = Int32.to_int (Bytes.get_int32_le b imm_field_offset) land Word.max_value in
+let decode_at b off =
+  if off < 0 || off > Bytes.length b - width then
+    invalid_arg "Isa.decode_at: out of range";
+  let op = Bytes.get_uint8 b off in
+  let rd = Bytes.get_uint8 b (off + 1) land 0xF in
+  let rs1 = Bytes.get_uint8 b (off + 2) land 0xF in
+  let rs2 = Bytes.get_uint8 b (off + 3) land 0xF in
+  let imm =
+    Int32.to_int (Bytes.get_int32_le b (off + imm_field_offset))
+    land Word.max_value
+  in
   match op with
   | 0 -> Nop
   | 1 -> Movi (rd, imm)
@@ -147,6 +151,10 @@ let decode b =
   | 30 -> Halt
   | 31 -> Iret
   | n -> invalid_arg (Printf.sprintf "Isa.decode: bad opcode %d" n)
+
+let decode b =
+  if Bytes.length b <> width then invalid_arg "Isa.decode: wrong length";
+  decode_at b 0
 
 let cost = function
   | Nop -> 1

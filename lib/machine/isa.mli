@@ -61,6 +61,11 @@ val encode : t -> bytes
 val decode : bytes -> t
 (** Decode {!width} bytes.  @raise Invalid_argument on a bad opcode. *)
 
+val decode_at : bytes -> int -> t
+(** [decode_at b off] decodes the {!width} bytes of [b] starting at [off]
+    in place, without copying them.  @raise Invalid_argument if they do
+    not all lie inside [b], or on a bad opcode. *)
+
 val cost : t -> int
 (** Cycle cost charged when the instruction executes (memory operations
     and taken control transfers cost more than ALU operations, in line

@@ -46,9 +46,15 @@ let map_device t d =
         (Printf.sprintf "Memory.map_device: %s overlaps %s" d.name other.name)
   | None -> t.devices <- d :: t.devices
 
-let device_at t addr =
-  let covers d = addr >= d.base && addr < d.base + d.size in
-  List.find_opt covers t.devices
+(* Consulted on every load and store: a closure-free scan, so a RAM
+   access (no window covers it) allocates nothing. *)
+let rec find_device addr = function
+  | [] -> None
+  | d :: rest ->
+      if addr >= d.base && addr < d.base + d.size then Some d
+      else find_device addr rest
+
+let device_at t addr = find_device addr t.devices
 
 let in_ram t addr len =
   addr >= 0 && len >= 0 && addr + len <= Bytes.length t.ram
@@ -103,6 +109,8 @@ let write32 t addr v =
 let blit_bytes t addr b =
   if not (in_ram t addr (Bytes.length b)) then bounds_fail "blit_bytes" addr;
   Bytes.blit b 0 t.ram addr (Bytes.length b)
+
+let fetch t addr = Isa.decode_at t.ram addr
 
 let read_bytes t addr len =
   if not (in_ram t addr len) then bounds_fail "read_bytes" addr;

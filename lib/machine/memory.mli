@@ -61,6 +61,12 @@ val write32 : t -> Word.t -> Word.t -> unit
 val blit_bytes : t -> Word.t -> bytes -> unit
 (** [blit_bytes mem addr b] copies [b] into RAM at [addr]. *)
 
+val fetch : t -> Word.t -> Isa.t
+(** [fetch mem addr] decodes the instruction at [addr] in place from RAM,
+    copying nothing; MMIO windows are not consulted.  @raise
+    Invalid_argument if its {!Isa.width} bytes are not all in RAM, or on
+    a bad opcode. *)
+
 val read_bytes : t -> Word.t -> int -> bytes
 (** [read_bytes mem addr len] copies [len] bytes of RAM starting at
     [addr]. *)

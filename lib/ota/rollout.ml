@@ -425,6 +425,15 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
     if faults then fault_events ~seed ~devices ~waves:(List.length waves)
     else []
   in
+  (* Fault events name devices by serial; serials are unique, so one
+     table resolves each event in O(1) instead of a fleet scan. *)
+  let index_of = Hashtbl.create (2 * devices) in
+  Array.iter (fun d -> Hashtbl.replace index_of d.serial d.index) fleet;
+  let by_serial name f =
+    match Hashtbl.find_opt index_of name with
+    | Some i -> f fleet.(i)
+    | None -> ()
+  in
   let truncated = ref 0 in
   let breaker_threshold = 1 in
   let strike d =
@@ -454,22 +463,13 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
           if at_tick = wave_idx then
             match kind with
             | Fault_plan.Frame_truncate { name; count } ->
-                Array.iter
-                  (fun d ->
-                    if d.serial = name then
-                      d.truncate_left <- d.truncate_left + count)
-                  fleet
+                by_serial name (fun d ->
+                    d.truncate_left <- d.truncate_left + count)
             | Fault_plan.Counter_reset { name } ->
-                Array.iter
-                  (fun d ->
-                    if d.serial = name then
-                      Installer.attempt_counter_reset d.installer)
-                  fleet
+                by_serial name (fun d ->
+                    Installer.attempt_counter_reset d.installer)
             | Fault_plan.Canary_crash { name } ->
-                Array.iter
-                  (fun d ->
-                    if d.serial = name then Installer.arm_crash d.installer)
-                  fleet
+                by_serial name (fun d -> Installer.arm_crash d.installer)
             | _ -> ())
         plan;
       let payload = Telf.encode w.image in

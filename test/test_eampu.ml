@@ -1,5 +1,6 @@
 (* EA-MPU semantics: regions, permissions, slot management, overlap
-   policy, execution-aware checks and entry-point enforcement. *)
+   policy, execution-aware checks and entry-point enforcement, and a
+   differential test of the compiled rule table against a slot scan. *)
 
 open Tytan_machine
 open Tytan_eampu
@@ -192,10 +193,306 @@ let check_tests =
                Eampu.check e ~eip:0x1010 ~addr:0x1FFE ~size:4 ~kind:Access.Write)));
   ]
 
+(* --- the slot-scan oracle ------------------------------------------------ *)
+
+(* The check as it stood before the compiled rule table: a scan of the
+   rule slots through [iter_slots].  [Eampu.check] must allow and deny
+   exactly the same accesses, with identical violation records. *)
+module Oracle = struct
+  let exec_rule_covering t addr =
+    let found = ref None in
+    Eampu.iter_slots t (fun _ rule ->
+        match rule with
+        | Eampu.Exec { region; entry }
+          when Region.contains region addr && !found = None ->
+            found := Some (region, entry)
+        | Eampu.Exec _ | Eampu.Grant _ -> ());
+    !found
+
+  let check_execute t ~eip ~addr ~size =
+    match exec_rule_covering t addr with
+    | None ->
+        Access.violation ~eip ~addr ~size ~kind:Access.Execute
+          "no executable region covers this address"
+    | Some (region, entry) -> (
+        if Region.contains region eip then
+          (* Sequential flow or internal jump within the same region. *)
+          ()
+        else
+          match entry with
+          | None -> ()
+          | Some entry ->
+              if not (Word.equal addr entry) then
+                Access.violation ~eip ~addr ~size ~kind:Access.Execute
+                  (Format.asprintf
+                     "region %a may only be entered at its entry point %a"
+                     Region.pp region Word.pp entry))
+
+  let check_data t ~eip ~addr ~size ~kind =
+    let protected_ = ref false in
+    let granted = ref false in
+    Eampu.iter_slots t (fun _ rule ->
+        match rule with
+        | Eampu.Grant g when Region.overlaps_range g.data addr size ->
+            protected_ := true;
+            if
+              Region.contains g.code eip
+              && Region.contains_range g.data addr size
+              && Perm.allows g.perm kind
+            then granted := true
+        | Eampu.Grant _ -> ()
+        | Eampu.Exec e when Region.overlaps_range e.region addr size ->
+            (* Code regions are never writable and only readable by
+               themselves (the RTM gets an explicit Grant when measuring). *)
+            protected_ := true;
+            if kind = Access.Read && Region.contains e.region eip then
+              granted := true
+        | Eampu.Exec _ -> ());
+    if !protected_ && not !granted then
+      Access.violation ~eip ~addr ~size ~kind "no EA-MPU rule grants this access"
+
+  let check t ~eip ~addr ~size ~kind =
+    if Eampu.enabled t then
+      match kind with
+      | Access.Execute -> check_execute t ~eip ~addr ~size
+      | Access.Read | Access.Write -> check_data t ~eip ~addr ~size ~kind
+end
+
+(* --- differential property ----------------------------------------------- *)
+
+type step =
+  | Write of int * Eampu.rule option  (** raw [set_slot]; [None] clears *)
+  | Access of {
+      eip : Word.t;
+      addr : Word.t;
+      size : int;
+      kind : Access.kind;
+    }
+
+(* Addresses cluster in three windows — the bottom of the address space,
+   the top, and a small middle window — so regions overlap each other
+   often and accesses land on their edges. *)
+let addr_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range 0 0x60;
+        int_range (Word.max_value - 0x60) Word.max_value;
+        int_range 0x1000 0x1080;
+      ])
+
+let region_gen =
+  QCheck.Gen.(
+    map2
+      (fun base size ->
+        Region.make ~base ~size:(min size (Word.max_value - base + 1)))
+      addr_gen (int_range 1 0x40))
+
+let perm_gen = QCheck.Gen.oneofl [ Perm.r; Perm.w; Perm.rw; Perm.none ]
+
+let rule_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 1,
+          map2
+            (fun region entry ->
+              (* Half the entry points lie inside their region. *)
+              let entry =
+                Option.map
+                  (fun (inside, a) ->
+                    if inside then
+                      Region.base region + (a mod Region.size region)
+                    else a)
+                  entry
+              in
+              Eampu.Exec { region; entry })
+            region_gen
+            (opt (pair bool addr_gen)) );
+        ( 1,
+          map3
+            (fun code data perm -> Eampu.Grant { code; data; perm })
+            region_gen region_gen perm_gen );
+      ])
+
+let step_gen ~slots =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 2,
+          map2
+            (fun i r -> Write (i, r))
+            (int_bound (slots - 1))
+            (opt ~ratio:0.85 rule_gen) );
+        ( 5,
+          map4
+            (fun eip addr size kind -> Access { eip; addr; size; kind })
+            addr_gen addr_gen (int_range 0 16)
+            (oneofl [ Access.Read; Access.Write; Access.Execute ]) );
+      ])
+
+let pp_step = function
+  | Write (i, None) -> Printf.sprintf "clear %d" i
+  | Write (i, Some (Eampu.Exec { region; entry })) ->
+      Format.asprintf "set %d exec %a%s" i Region.pp region
+        (match entry with None -> "" | Some e -> Printf.sprintf " entry=0x%X" e)
+  | Write (i, Some (Eampu.Grant { code; data; perm })) ->
+      Format.asprintf "set %d %a by %a on %a" i Perm.pp perm Region.pp code
+        Region.pp data
+  | Access { eip; addr; size; kind } ->
+      Format.asprintf "%a eip=0x%X addr=0x%X size=%d" Access.pp_kind kind eip
+        addr size
+
+let outcome check =
+  match check () with
+  | () -> Ok ()
+  | exception Access.Violation v -> Error v
+
+let pp_outcome = function
+  | Ok () -> "allowed"
+  | Error v -> Format.asprintf "%a" Access.pp_violation v
+
+let differential_props =
+  let slots = 6 in
+  [
+    QCheck.Test.make ~name:"compiled table agrees with the slot scan"
+      ~count:1000
+      (QCheck.make
+         ~print:(fun steps -> String.concat "\n" (List.map pp_step steps))
+         QCheck.Gen.(list_size (int_range 1 60) (step_gen ~slots)))
+      (fun steps ->
+        let e = Eampu.create ~slots () in
+        Eampu.enable e;
+        List.for_all
+          (function
+            | Write (i, rule) ->
+                Eampu.set_slot e i rule;
+                true
+            | Access { eip; addr; size; kind } ->
+                let got =
+                  outcome (fun () -> Eampu.check e ~eip ~addr ~size ~kind)
+                in
+                let want =
+                  outcome (fun () -> Oracle.check e ~eip ~addr ~size ~kind)
+                in
+                got = want
+                || QCheck.Test.fail_reportf "compiled: %s@.slot scan: %s"
+                     (pp_outcome got) (pp_outcome want))
+          steps);
+  ]
+
+(* Overlapping executable regions can only be installed by raw slot
+   writes; the first in slot order decides, as in the slot scan. *)
+let oracle_tests =
+  [
+    Alcotest.test_case "overlapping exec regions: first slot decides" `Quick
+      (fun () ->
+        let e = Eampu.create ~slots:4 () in
+        Eampu.set_slot e 1
+          (Some (Exec { region = region 0x1000 0x100; entry = Some 0x1000 }));
+        Eampu.set_slot e 2
+          (Some (Exec { region = region 0x1080 0x100; entry = None }));
+        Eampu.enable e;
+        let both ~eip ~addr =
+          ( outcome (fun () ->
+                Eampu.check e ~eip ~addr ~size:8 ~kind:Access.Execute),
+            outcome (fun () ->
+                Oracle.check e ~eip ~addr ~size:8 ~kind:Access.Execute) )
+        in
+        let got, want = both ~eip:0x5000 ~addr:0x1090 in
+        check_bool "denied by slot 1's entry point" true (Result.is_error got);
+        check_bool "same record" true (got = want);
+        let got, want = both ~eip:0x5000 ~addr:0x1100 in
+        check_bool "slot 2 alone is open" true (got = Ok ());
+        check_bool "same outcome" true (got = want);
+        Eampu.clear_slot e 1;
+        let got, want = both ~eip:0x5000 ~addr:0x1090 in
+        check_bool "after clearing slot 1, slot 2 decides" true (got = Ok ());
+        check_bool "same outcome" true (got = want));
+    Alcotest.test_case "regions at both ends of the address space" `Quick
+      (fun () ->
+        let e = Eampu.create ~slots:2 () in
+        let top = region (Word.max_value - 0xF) 0x10 in
+        Eampu.set_slot e 0
+          (Some (Grant { code = region 0 0x10; data = top; perm = Perm.rw }));
+        Eampu.enable e;
+        let agree ~eip ~addr ~size ~kind =
+          let got = outcome (fun () -> Eampu.check e ~eip ~addr ~size ~kind) in
+          check_bool "agrees with the slot scan" true
+            (got = outcome (fun () -> Oracle.check e ~eip ~addr ~size ~kind));
+          got
+        in
+        check_bool "last word writable from address 0" true
+          (agree ~eip:0 ~addr:(Word.max_value - 3) ~size:4 ~kind:Access.Write
+          = Ok ());
+        check_bool "running off the top is denied" true
+          (Result.is_error
+             (agree ~eip:0 ~addr:(Word.max_value - 1) ~size:4
+                ~kind:Access.Write));
+        check_bool "foreign code denied" true
+          (Result.is_error
+             (agree ~eip:0x10 ~addr:(Word.max_value - 3) ~size:4
+                ~kind:Access.Read));
+        check_bool "empty access is open" true
+          (agree ~eip:0x10 ~addr:Word.max_value ~size:0 ~kind:Access.Read
+          = Ok ()));
+  ]
+
+(* --- reconfiguration through the driver ---------------------------------- *)
+
+(* A grant removed by the driver must stop governing the very next
+   instruction: a stale rule table must never grant. *)
+let driver_tests =
+  [
+    Alcotest.test_case "removed grant denies the next instruction" `Quick
+      (fun () ->
+        let mem = Memory.create ~size:0x4000 in
+        let clock = Cycles.create () in
+        let engine = Exception_engine.create mem ~idt_base:0x100 in
+        let cpu = Cpu.create mem clock engine in
+        let e = Eampu.create () in
+        let driver = Tytan_core.Mpu_driver.create e clock ~code_eip:0x3000 in
+        let code = region 0x1000 0x100 and data = region 0x2000 0x100 in
+        let install rule =
+          match Tytan_core.Mpu_driver.install_rule driver rule with
+          | Ok slot -> slot
+          | Error msg -> Alcotest.fail msg
+        in
+        ignore (install (Exec { region = code; entry = None }));
+        (* Another principal's grant keeps the data region protected once
+           the task's own grant is gone. *)
+        ignore
+          (install (Grant { code = region 0x3000 0x100; data; perm = Perm.rw }));
+        let grant = install (Grant { code; data; perm = Perm.r }) in
+        Eampu.enable e;
+        Cpu.set_check cpu (fun ~eip ~addr ~size ~kind ->
+            Eampu.check e ~eip ~addr ~size ~kind);
+        List.iteri
+          (fun i instr ->
+            Memory.blit_bytes mem (0x1000 + (i * Isa.width)) (Isa.encode instr))
+          [ Isa.Movi (1, 0x2010); Isa.Ldw (2, 1, 0); Isa.Ldw (3, 1, 0); Isa.Halt ];
+        Memory.write32 mem 0x2010 0xCAFE;
+        Regfile.set_eip (Cpu.regs cpu) 0x1000;
+        ignore (Cpu.step cpu);
+        ignore (Cpu.step cpu);
+        check_int "granted load" 0xCAFE (Regfile.get (Cpu.regs cpu) 2);
+        Tytan_core.Mpu_driver.remove_slot driver grant;
+        match Cpu.step cpu with
+        | _ -> Alcotest.fail "load after the grant was removed succeeded"
+        | exception Access.Violation v ->
+            check_int "denied address" 0x2010 v.addr;
+            Alcotest.(check string)
+              "reason" "no EA-MPU rule grants this access" v.reason;
+            check_int "nothing loaded" 0 (Regfile.get (Cpu.regs cpu) 3));
+  ]
+
 let () =
   Alcotest.run "eampu"
     [
       ("region+perm", region_tests);
       ("slots", slot_tests);
       ("checks", check_tests);
+      ("scan-oracle", oracle_tests);
+      ("driver", driver_tests);
+      ("properties", List.map QCheck_alcotest.to_alcotest differential_props);
     ]

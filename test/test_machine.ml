@@ -421,6 +421,56 @@ let cpu_tests =
             Cpu.halt cpu);
         ignore (Cpu.step cpu);
         check_bool "fault handler ran" true !faulted);
+  ]
+  @ List.concat_map
+      (fun (name, setup) ->
+        (* RAM is 4096 bytes: a fetch at 0xFFC has only 4 of its 8 bytes
+           in RAM; one at 0x2000 has none. *)
+        let at_fetch () =
+          let mem, _, _, cpu = machine () in
+          let pc = setup mem in
+          Regfile.set_eip (Cpu.regs cpu) pc;
+          (cpu, pc)
+        in
+        let expected pc =
+          {
+            Access.eip = pc;
+            addr = pc;
+            size = Isa.width;
+            kind = Access.Execute;
+            reason = "illegal opcode";
+          }
+        in
+        [
+          Alcotest.test_case (name ^ ": illegal-opcode fault") `Quick (fun () ->
+              let cpu, pc = at_fetch () in
+              let seen = ref None in
+              Cpu.set_fault_handler cpu (fun v ->
+                  seen := Some v;
+                  Cpu.halt cpu);
+              ignore (Cpu.step cpu);
+              check_bool "execute violation delivered" true
+                (!seen = Some (expected pc));
+              check "nothing retired" 0 (Cpu.instructions_retired cpu));
+          Alcotest.test_case (name ^ ": raises Violation without handler")
+            `Quick (fun () ->
+              let cpu, pc = at_fetch () in
+              match Cpu.step cpu with
+              | _ -> Alcotest.fail "fetch did not fault"
+              | exception Access.Violation v ->
+                  check_bool "illegal opcode" true (v = expected pc)
+              | exception Invalid_argument msg ->
+                  Alcotest.failf "simulator error escaped: %s" msg);
+        ])
+      [
+        ("fetch straddling the end of RAM", fun _ -> 0xFFC);
+        ("fetch past the end of RAM", fun _ -> 0x2000);
+        ( "unknown opcode",
+          fun mem ->
+            Memory.write8 mem 0x200 0xEE;
+            0x200 );
+      ]
+  @ [
     Alcotest.test_case "firmware identity used for host accesses" `Quick
       (fun () ->
         let _, _, _, cpu = machine () in

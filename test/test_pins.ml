@@ -1,12 +1,19 @@
-(* Pinned report digests for the three fleet engines.
+(* Pinned report digests for the three fleet engines, and the pinned
+   counters of one TyTAN platform running the paper's Table 1 use case.
 
-   Each digest below is the last line of the engine's [to_string]
+   Each engine digest below is the last line of the engine's [to_string]
    report — a SHA-1 over verdicts, settle slices, sealed roots, both
    cycle clocks, link counters and telemetry — recorded from the engines
    as they stood before the wake-driven slice loops (DESIGN.md §18).
    Skipping a device only when its visit is a provable no-op must leave
    every one of them byte-identical; any drift means a skipped visit was
-   not a no-op after all. *)
+   not a no-op after all.
+
+   The platform pin is the instruction, cycle and context-switch count
+   and the per-task cycle attribution of the use case, recorded from the
+   slot-scanning EA-MPU and copying fetch that preceded the compiled rule
+   table (DESIGN.md §2).  A faster check or fetch must not move a single
+   simulated cycle. *)
 
 open Tytan_provision
 module Gateway = Tytan_serve.Gateway
@@ -14,6 +21,11 @@ module Rollout = Tytan_ota.Rollout
 module Tasks = Tytan_tasks.Task_lib
 module Task_id = Tytan_core.Task_id
 module Sha1 = Tytan_crypto.Sha1
+module Platform = Tytan_core.Platform
+module Rtm = Tytan_core.Rtm
+module Cpu = Tytan_machine.Cpu
+module Cycles = Tytan_machine.Cycles
+module Kernel = Tytan_rtos.Kernel
 
 let digest_line report =
   match List.rev (String.split_on_char '\n' (String.trim report)) with
@@ -106,7 +118,62 @@ let rollout_cases =
       run ~faults:true ~seed:5 [ clean_wave 1; clean_wave 2; clean_wave 3 ] );
   ]
 
-let cases = swarm_cases @ gateway_cases @ rollout_cases
+(* The use case as the benchmark's platform workload runs it at full
+   size, seed 1: secure t0 (engine control) and t1 (pedal feeder) loaded
+   at set-up, then 120 single ticks with t2 (radar feeder, padded to the
+   paper's ~27.8 ms load) submitted for interruptible loading at a seeded
+   tick in 36..44. *)
+let platform_table1 () =
+  let pedal_addr = 0xF100_0000
+  and radar_addr = 0xF100_0010
+  and actuator_addr = 0xF100_0020 in
+  let rng = Random.State.make [| 1 |] in
+  let submit_at = 36 + Random.State.int rng 9 in
+  let pedal0 = 30 + Random.State.int rng 20 in
+  let radar0 = 5 + Random.State.int rng 10 in
+  let p = Platform.create () in
+  ignore
+    (Platform.attach_sensor p ~name:"pedal" ~base:pedal_addr
+       ~sample:(fun ~cycles -> pedal0 + (cycles / 1_000_000 mod 20)));
+  ignore
+    (Platform.attach_sensor p ~name:"radar" ~base:radar_addr
+       ~sample:(fun ~cycles -> radar0 + (cycles / 2_000_000 mod 10)));
+  ignore (Platform.attach_console p ~base:actuator_addr);
+  let load ~priority name telf =
+    match Platform.load_blocking p ~name ~priority telf with
+    | Ok tcb -> tcb
+    | Error e -> Alcotest.failf "%s: %s" name e
+  in
+  let t0 = load ~priority:5 "t0-engine" (Tasks.cruise_controller ~actuator_addr) in
+  let t0_id =
+    (Option.get (Rtm.find_by_tcb (Option.get (Platform.rtm p)) t0)).Rtm.id
+  in
+  ignore
+    (load ~priority:4 "t1-pedal"
+       (Tasks.sensor_feeder ~sensor_addr:pedal_addr ~controller:t0_id ~tag:1 ()));
+  let t2 =
+    Tasks.sensor_feeder ~sensor_addr:radar_addr ~controller:t0_id ~tag:2
+      ~pad_instructions:1385 ()
+  in
+  let cpu = Platform.cpu p and clock = Platform.clock p in
+  let kernel = Platform.kernel p in
+  let i0 = Cpu.instructions_retired cpu and c0 = Cycles.now clock in
+  let s0 = Kernel.context_switches kernel in
+  for tick = 1 to 120 do
+    if tick = submit_at then Platform.submit_load p ~name:"t2-radar" t2;
+    Platform.run_ticks p 1
+  done;
+  Printf.sprintf "instructions=%d cycles=%d context_switches=%d | %s"
+    (Cpu.instructions_retired cpu - i0)
+    (Cycles.now clock - c0)
+    (Kernel.context_switches kernel - s0)
+    (String.concat " "
+       (List.map
+          (fun (name, cycles) -> Printf.sprintf "%s=%d" name cycles)
+          (Platform.cycle_attribution p)))
+
+let platform_cases = [ ("platform/table1", platform_table1) ]
+let cases = swarm_cases @ gateway_cases @ rollout_cases @ platform_cases
 
 (* --- the pins ------------------------------------------------------------ *)
 
@@ -136,6 +203,10 @@ let pins =
     ("rollout/clean", "digest: sha1:4a2f6e489890af62e552524ca1bb007766a253ab");
     ("rollout/stale-leaky", "digest: sha1:c8b5a20ee5fe10a91694d742c443830776584f18");
     ("rollout/faults", "digest: sha1:ba1c90e41d56e2c8a7b1a3aa523abb2a708b646f");
+    ( "platform/table1",
+      "instructions=1135859 cycles=4119529 context_switches=982 | idle=2247202 \
+       svc-loader=239370 t0-engine=52702 t1-pedal=98555 t2-radar=30155 \
+       (os)=14826376" );
   ]
 
 let pinned_tests =
