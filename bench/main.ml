@@ -3,8 +3,6 @@
    rows the paper reports, in clock cycles (at a nominal 48 MHz).
 
    Run: dune exec bench/main.exe            (all tables)
-        dune exec bench/main.exe -- --wall  (adds Bechamel wall-clock
-                                             microbenchmarks, one per table)
 
    Absolute numbers come from the calibrated cost model (lib/core/
    cost_model.ml); shapes — linearity, who wins, overhead ordering — are
@@ -545,133 +543,6 @@ let run_ablations () =
    + Cost_model.int_mux_branch)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock microbenchmarks, one per table                  *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let table1 =
-    Test.make ~name:"table1-use-case-tick"
-      (Staged.stage
-         (let p = use_case_platform () in
-          let telf = Tasks.counter () in
-          ignore (load_exn p "c" telf);
-          fun () -> Platform.run_ticks p 1))
-  in
-  let table2_3 =
-    Test.make ~name:"table2/3-context-switch"
-      (Staged.stage
-         (let p = Platform.create () in
-          let tcb = load_exn p "b" (Tasks.busy_loop ()) in
-          run_until_current p tcb;
-          let kernel = Platform.kernel p in
-          let cpu = Platform.cpu p in
-          let ops = Kernel.context_ops kernel in
-          let sp0 = Regfile.get (Cpu.regs cpu) Regfile.sp in
-          fun () ->
-            (* keep the stack depth steady across iterations *)
-            Regfile.set (Cpu.regs cpu) Regfile.sp sp0;
-            let gprs = Regfile.all_gprs (Cpu.regs cpu) in
-            ops.Context.save tcb gprs;
-            ops.Context.restore tcb))
-  in
-  let table4 =
-    Test.make ~name:"table4-create-secure-task"
-      (Staged.stage
-         (let p = Platform.create () in
-          let counter = ref 0 in
-          fun () ->
-            incr counter;
-            let telf =
-              Toolchain.synthetic_secure ~image_size:3768 ~reloc_count:9
-                ~stack_size:128
-            in
-            match
-              Platform.load_blocking p ~name:(Printf.sprintf "t%d" !counter) telf
-            with
-            | Ok tcb -> Platform.unload p tcb
-            | Error e -> failwith e))
-  in
-  let table5 =
-    Test.make ~name:"table5-relocation"
-      (Staged.stage
-         (let telf =
-            Builder.synthetic ~image_size:1024 ~reloc_count:4 ~stack_size:128 ()
-          in
-          fun () ->
-            let image = Bytes.copy telf.Telf.image in
-            Relocate.apply ~base:0x4000 ~image ~relocations:telf.Telf.relocations;
-            Relocate.revert ~base:0x4000 ~image ~relocations:telf.Telf.relocations))
-  in
-  let table6 =
-    Test.make ~name:"table6-eampu-config"
-      (Staged.stage
-         (let clock = Cycles.create () in
-          let eampu = Tytan_eampu.Eampu.create ~slots:18 () in
-          let mpu = Mpu_driver.create eampu clock ~code_eip:0x100 in
-          fun () ->
-            (match
-               Mpu_driver.install_rule mpu
-                 (Tytan_eampu.Eampu.Exec
-                    {
-                      region = Tytan_eampu.Region.make ~base:0x90000 ~size:0x100;
-                      entry = None;
-                    })
-             with
-            | Ok slot -> Mpu_driver.remove_slot mpu slot
-            | Error e -> failwith e)))
-  in
-  let table7 =
-    Test.make ~name:"table7-measurement"
-      (Staged.stage
-         (let mem, _clock, rtm = bare_rtm () in
-          let telf =
-            Builder.synthetic ~image_size:512 ~reloc_count:4 ~stack_size:128 ()
-          in
-          let image = Bytes.copy telf.Telf.image in
-          Relocate.apply ~base:0x2000 ~image ~relocations:telf.Telf.relocations;
-          Memory.blit_bytes mem 0x2000 image;
-          fun () -> ignore (Rtm.measure rtm ~base:0x2000 ~telf)))
-  in
-  let table8 =
-    Test.make ~name:"table8-boot-accounting"
-      (Staged.stage (fun () -> ignore (Platform.os_memory_bytes (Platform.create ()))))
-  in
-  let ipc =
-    Test.make ~name:"ipc-roundtrip"
-      (Staged.stage
-         (let p = Platform.create () in
-          let rtelf = Tasks.ipc_receiver () in
-          let receiver = load_exn p "recv" rtelf in
-          let rtm = Option.get (Platform.rtm p) in
-          let rid = (Option.get (Rtm.find_by_tcb rtm receiver)).Rtm.id in
-          let stelf = Tasks.ipc_sender ~receiver:rid ~repeat:true () in
-          ignore (load_exn p "send" stelf);
-          fun () -> Platform.run_ticks p 1))
-  in
-  [ table1; table2_3; table4; table5; table6; table7; table8; ipc ]
-
-let run_bechamel () =
-  hr "Bechamel wall-clock microbenchmarks (host time, not simulated cycles)";
-  let open Bechamel in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> row "%-32s %12.0f ns/run\n" name est
-          | Some _ | None -> row "%-32s (no estimate)\n" name)
-        results)
-    (bechamel_tests ())
-
-(* ------------------------------------------------------------------ *)
 (* Real-time compliance: bounded execution time of every primitive     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1001,8 +872,8 @@ let run_telemetry_bench () =
 
 let run_swarm_bench () =
   hr
-    "Fleet-scale swarm attestation — scalar vs batched vs incremental \
-     verifier (lib/provision)";
+    "Fleet-scale swarm attestation — scalar vs incremental verifier \
+     (lib/provision)";
   let module Swarm = Tytan_provision.Swarm in
   let sizes = if !smoke then [ 16; 64 ] else [ 16; 256; 2048 ] in
   let epochs = 4 in
@@ -1014,33 +885,26 @@ let run_swarm_bench () =
         Swarm.run ~mode ~devices:n ~epochs ~seed:1 ()
       in
       let scalar = campaign Swarm.Scalar in
-      let batched = campaign Swarm.Batched in
       let incremental = campaign Swarm.Incremental in
-      if Swarm.verdicts scalar <> Swarm.verdicts batched then
-        failwith "swarm bench: scalar/batched verdicts diverged";
-      if Swarm.verdicts batched <> Swarm.verdicts incremental then
-        failwith "swarm bench: batched/incremental verdicts diverged";
+      if Swarm.verdicts scalar <> Swarm.verdicts incremental then
+        failwith "swarm bench: scalar/incremental verdicts diverged";
       let ratio =
         float_of_int scalar.Swarm.verifier_cycles
-        /. float_of_int (max 1 batched.Swarm.verifier_cycles)
+        /. float_of_int (max 1 incremental.Swarm.verifier_cycles)
       in
       row
-        "  N=%4d: scalar %10d   batched %10d   incremental %10d   (%.1fx, \
-         verdicts identical)\n"
-        n scalar.Swarm.verifier_cycles batched.Swarm.verifier_cycles
-        incremental.Swarm.verifier_cycles ratio;
+        "  N=%4d: scalar %10d   incremental %10d   (%.1fx, verdicts \
+         identical)\n"
+        n scalar.Swarm.verifier_cycles incremental.Swarm.verifier_cycles ratio;
       record ~table:"fleet" ~label:(Printf.sprintf "scalar-verify-%d" n)
         scalar.Swarm.verifier_cycles;
-      record ~table:"fleet" ~label:(Printf.sprintf "batched-verify-%d" n)
-        batched.Swarm.verifier_cycles;
       record ~table:"fleet" ~label:(Printf.sprintf "incremental-verify-%d" n)
         incremental.Swarm.verifier_cycles)
     sizes;
   (* Steady state: epoch 0 sweeps the whole fleet, afterwards only the
      ~1% that rebooted (plus anything whose continuity broke) is
      re-challenged — the O(changed) epoch.  The row records the mean
-     post-sweep epoch cost; the regression gate holds it an order of
-     magnitude under the rebuild-everything batched campaign. *)
+     post-sweep epoch cost. *)
   let n = if !smoke then 64 else 2048 in
   let steady =
     Swarm.run ~mode:Swarm.Incremental ~devices:n ~epochs ~seed:1 ~steady:true
@@ -1067,28 +931,18 @@ let run_swarm_bench () =
     ~label:(Printf.sprintf "incremental-steady-epoch-%d" n)
     steady_epoch;
   (* Domain-parallel identity: the sharded run must render bit-for-bit
-     the same report as the sequential one.  Recorded as exact-match
-     rows (1 = identical) so the regression gate fails on any drift,
-     with no tolerance band. *)
+     the same report as the sequential one.  Recorded as an exact-match
+     row (1 = identical) so the regression gate fails on any drift, with
+     no tolerance band. *)
   let pn = if !smoke then 32 else 256 in
-  let identical mode ~steady ~churn_permille =
-    let go domains =
-      Swarm.run ~mode ~devices:pn ~epochs ~seed:1 ~domains ~steady
-        ~churn_permille ()
-    in
-    if Swarm.to_string (go 1) = Swarm.to_string (go 4) then 1 else 0
+  let go domains =
+    Swarm.to_string
+      (Swarm.run ~mode:Swarm.Incremental ~devices:pn ~epochs ~seed:1 ~domains
+         ~steady:true ~churn_permille:10 ())
   in
-  let batched_id = identical Swarm.Batched ~steady:false ~churn_permille:0 in
-  let steady_id =
-    identical Swarm.Incremental ~steady:true ~churn_permille:10
-  in
-  row
-    "  domains=4 vs 1 at N=%d: batched %s, incremental-steady %s\n" pn
-    (if batched_id = 1 then "bit-identical" else "DIVERGED")
+  let steady_id = if go 1 = go 4 then 1 else 0 in
+  row "  domains=4 vs 1 at N=%d: incremental-steady %s\n" pn
     (if steady_id = 1 then "bit-identical" else "DIVERGED");
-  record ~table:"fleet"
-    ~label:(Printf.sprintf "parallel-batched-%d-identical" pn)
-    batched_id;
   record ~table:"fleet"
     ~label:(Printf.sprintf "parallel-steady-%d-identical" pn)
     steady_id
@@ -1308,7 +1162,6 @@ let run_vet_bench () =
     Cost_model.vet_per_instruction Cost_model.vet_base
 
 let () =
-  let wall = Array.exists (fun a -> a = "--wall") Sys.argv in
   smoke := Array.exists (fun a -> a = "--smoke") Sys.argv;
   let json_file =
     let r = ref None in
@@ -1343,6 +1196,5 @@ let () =
   run_related_work ();
   run_update_bench ();
   run_vet_bench ();
-  if wall then run_bechamel ();
   Option.iter write_json json_file;
   Printf.printf "\nDone.\n"

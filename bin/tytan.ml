@@ -305,6 +305,29 @@ let trace_cmd =
           Perfetto-loadable span timeline with --out")
     Term.(const trace_run $ ticks $ out)
 
+(* --- shared by the campaign commands --------------------------------------- *)
+
+let seed =
+  Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign PRNG seed.")
+
+let loss =
+  Arg.(value & opt int 10 & info [ "loss" ] ~doc:"Uplink frame loss, percent.")
+
+let verify =
+  Arg.(
+    value & flag
+    & info [ "verify" ] ~doc:"Run the campaign twice and compare reports.")
+
+(* [--verify]: run the campaign again and compare; exit 1 on divergence. *)
+let reproduce ~verify ~equal ~run report =
+  if verify then
+    if equal report (run ()) then
+      print_endline "reproducibility: second run identical (same digest)"
+    else begin
+      print_endline "reproducibility: RUNS DIVERGED";
+      exit 1
+    end
+
 (* --- fleet ---------------------------------------------------------------- *)
 
 let fleet devices epochs seed faults mode loss rollout domains steady churn
@@ -313,11 +336,10 @@ let fleet devices epochs seed faults mode loss rollout domains steady churn
   let mode =
     match mode with
     | "scalar" -> Swarm.Scalar
-    | "batched" -> Swarm.Batched
     | "incremental" -> Swarm.Incremental
     | other ->
-        Printf.eprintf
-          "tytan: unknown fleet mode %S (scalar|batched|incremental)\n" other;
+        Printf.eprintf "tytan: unknown fleet mode %S (scalar|incremental)\n"
+          other;
         exit 124
   in
   if steady && mode <> Swarm.Incremental then begin
@@ -351,15 +373,7 @@ let fleet devices epochs seed faults mode loss rollout domains steady churn
   in
   let report = run () in
   print_string (Swarm.to_string report);
-  if verify then begin
-    let again = run () in
-    if Swarm.equal report again then
-      print_endline "reproducibility: second run identical (same digest)"
-    else begin
-      print_endline "reproducibility: RUNS DIVERGED";
-      exit 1
-    end
-  end;
+  reproduce ~verify ~equal:Swarm.equal ~run report;
   (* A session that never settled is the campaign engine's own failure,
      faults or no faults — CI gates on it. *)
   if Swarm.campaign_failed report then begin
@@ -378,9 +392,6 @@ let fleet_cmd =
   let epochs =
     Arg.(value & opt int 4 & info [ "epochs" ] ~doc:"Fresh-nonce attestation rounds.")
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign PRNG seed.")
-  in
   let faults =
     Arg.(
       value & flag
@@ -391,15 +402,12 @@ let fleet_cmd =
   in
   let mode =
     Arg.(
-      value & opt string "batched"
+      value & opt string "incremental"
       & info [ "mode" ]
           ~doc:
-            "Verifier engine: batched (aggregator, tree rebuilt per epoch), \
-             incremental (persistent Merkle leaves, dirty-path recompute, \
-             sparse epoch deltas) or scalar (stateless baseline).")
-  in
-  let loss =
-    Arg.(value & opt int 10 & info [ "loss" ] ~doc:"Uplink frame loss, percent.")
+            "Verifier engine: incremental (aggregator with persistent Merkle \
+             leaves, dirty-path recompute, sparse epoch deltas) or scalar \
+             (stateless baseline).")
   in
   let rollout =
     Arg.(
@@ -436,19 +444,14 @@ let fleet_cmd =
             "Reboot this permille of the fleet per epoch on a seeded \
              schedule (forces re-challenge in steady state).")
   in
-  let verify =
-    Arg.(
-      value & flag
-      & info [ "verify" ] ~doc:"Run the campaign twice and compare reports.")
-  in
   Cmd.v
     (Cmd.info "fleet"
        ~doc:
          "Run a fleet-scale swarm-attestation campaign: N provers over lossy \
-          links, K fresh-nonce epochs, batched Merkle aggregation with a \
-          measurement cache, incremental epoch-persistent aggregation \
-          (--mode incremental, optionally --steady), or the scalar baseline \
-          (--mode scalar); --domains D shards verification bit-identically")
+          links, K fresh-nonce epochs, incremental epoch-persistent Merkle \
+          aggregation with a measurement cache (optionally --steady), or the \
+          scalar baseline (--mode scalar); --domains D shards verification \
+          bit-identically")
     Term.(
       const fleet $ devices $ epochs $ seed $ faults $ mode $ loss $ rollout
       $ domains $ steady $ churn $ verify)
@@ -471,15 +474,7 @@ let serve devices slices rate seed faults loss arrival think verify =
   in
   let report = run () in
   print_string (Gateway.to_string report);
-  if verify then begin
-    let again = run () in
-    if Gateway.equal report again then
-      print_endline "reproducibility: second run identical (same digest)"
-    else begin
-      print_endline "reproducibility: RUNS DIVERGED";
-      exit 1
-    end
-  end;
+  reproduce ~verify ~equal:Gateway.equal ~run report;
   (* The gateway's structural invariants: the pending queue never grows
      past its bound, and every admitted session reaches a verdict.
      Either failing is a gateway bug, not an experiment outcome. *)
@@ -506,9 +501,6 @@ let serve_cmd =
       & info [ "arrival-rate" ]
           ~doc:"Offered load: session arrivals per 1000 slices.")
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign PRNG seed.")
-  in
   let faults =
     Arg.(
       value & flag
@@ -516,9 +508,6 @@ let serve_cmd =
           ~doc:
             "Inject a seeded network-fault schedule (burst loss, device \
              stalls, late replies) and link corruption/duplication/reordering.")
-  in
-  let loss =
-    Arg.(value & opt int 10 & info [ "loss" ] ~doc:"Uplink frame loss, percent.")
   in
   let arrival =
     Arg.(
@@ -534,11 +523,6 @@ let serve_cmd =
       value & opt int 8
       & info [ "think" ]
           ~doc:"Closed-loop think time, slices between settle and next ask.")
-  in
-  let verify =
-    Arg.(
-      value & flag
-      & info [ "verify" ] ~doc:"Run the campaign twice and compare reports.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -604,15 +588,7 @@ let ota devices epochs canary seed faults loss stale leaky verify =
   in
   let report = run () in
   print_string (Rollout.to_string report);
-  if verify then begin
-    let again = run () in
-    if Rollout.equal report again then
-      print_endline "reproducibility: second run identical (same digest)"
-    else begin
-      print_endline "reproducibility: RUNS DIVERGED";
-      exit 1
-    end
-  end;
+  reproduce ~verify ~equal:Rollout.equal ~run report;
   (* A device verdict that never settled is the rollout engine's own
      failure, faults or no faults. *)
   if Rollout.campaign_failed report then begin
@@ -643,9 +619,6 @@ let ota_cmd =
              and re-attesting.  --canary equal to --devices is a flat \
              (ungated) rollout.")
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign PRNG seed.")
-  in
   let faults =
     Arg.(
       value & flag
@@ -654,9 +627,6 @@ let ota_cmd =
             "Inject a seeded OTA fault schedule (truncated update frames, \
              counter-reset attempts, canary crashes mid-swap) and link \
              corruption/duplication/reordering.")
-  in
-  let loss =
-    Arg.(value & opt int 10 & info [ "loss" ] ~doc:"Uplink frame loss, percent.")
   in
   let stale =
     Arg.(
@@ -675,11 +645,6 @@ let ota_cmd =
             "Append a key-leaker wave.  The canaries' six-check vet refuses \
              it on-device and the wave aborts before any non-canary stages a \
              byte.")
-  in
-  let verify =
-    Arg.(
-      value & flag
-      & info [ "verify" ] ~doc:"Run the campaign twice and compare reports.")
   in
   Cmd.v
     (Cmd.info "ota"
@@ -735,7 +700,7 @@ let audit devices slices canary seed faults trail slo verify_chain tamper
   (* One flight recorder across all three fleet engines: a gateway
      campaign, a staged OTA campaign whose final stale wave aborts and
      quarantines its canaries (so the trail has a causal chain worth
-     walking), and a batched swarm epoch pair sealing Merkle roots. *)
+     walking), and an incremental swarm epoch pair sealing Merkle roots. *)
   let log = Obs.Log.create () in
   let serve_report =
     Gateway.run ~devices ~slices ~arrival_permille:4000 ~seed ~faults
@@ -765,7 +730,7 @@ let audit devices slices canary seed faults trail slo verify_chain tamper
       ~incumbent:(Tasks.counter ()) waves
   in
   let swarm_report =
-    Swarm.run ~mode:Swarm.Batched ~devices:(min devices 32) ~epochs:2 ~seed
+    Swarm.run ~mode:Swarm.Incremental ~devices:(min devices 32) ~epochs:2 ~seed
       ~faults ~loss_percent:10 ~obs:log ()
   in
   (* Engine invariants first: an unsettled verdict or a broken gateway
@@ -886,9 +851,6 @@ let audit_cmd =
   in
   let canary =
     Arg.(value & opt int 4 & info [ "canary" ] ~doc:"OTA canary cohort size.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign PRNG seed.")
   in
   let faults =
     Arg.(
@@ -1192,17 +1154,10 @@ let chaos seed ticks verify =
     prerr_endline "tytan: chaos needs a fault window of at least 30 ticks";
     exit 124
   end;
-  let report = Tytan_fault.Chaos.run ~seed ~ticks () in
+  let run () = Tytan_fault.Chaos.run ~seed ~ticks () in
+  let report = run () in
   print_string (Tytan_fault.Chaos.to_string report);
-  if verify then begin
-    let again = Tytan_fault.Chaos.run ~seed ~ticks () in
-    if again = report then
-      print_endline "reproducibility: second run identical (same digest)"
-    else begin
-      print_endline "reproducibility: RUNS DIVERGED";
-      exit 1
-    end
-  end;
+  reproduce ~verify ~equal:( = ) ~run report;
   if not report.Tytan_fault.Chaos.survived then exit 2
 
 let chaos_cmd =
@@ -1211,11 +1166,6 @@ let chaos_cmd =
   in
   let ticks =
     Arg.(value & opt int 40 & info [ "ticks" ] ~doc:"Fault-window length, ticks.")
-  in
-  let verify =
-    Arg.(
-      value & flag
-      & info [ "verify" ] ~doc:"Run the campaign twice and compare reports.")
   in
   Cmd.v
     (Cmd.info "chaos"

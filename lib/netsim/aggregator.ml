@@ -64,7 +64,6 @@ type t = {
   ka_of : serial:string -> bytes;
   clock : Cycles.t;
   telemetry : Telemetry.t option;
-  batch_limit : int;
   kind : kind;
   shards : shard array;
   sequential : bool;  (* single shard: admit + telemetry inline *)
@@ -93,9 +92,7 @@ let make_shard clock =
     tel_misses = 0;
   }
 
-let create ~ka_of ~clock ?telemetry ?(batch_limit = 256) ?(kind = Rebuild)
-    ?(shards = 1) () =
-  if batch_limit <= 0 then invalid_arg "Aggregator.create: batch_limit";
+let create ~ka_of ~clock ?telemetry ?(kind = Rebuild) ?(shards = 1) () =
   if shards <= 0 then invalid_arg "Aggregator.create: shards";
   let sequential = shards = 1 in
   let shards =
@@ -109,7 +106,6 @@ let create ~ka_of ~clock ?telemetry ?(batch_limit = 256) ?(kind = Rebuild)
     ka_of;
     clock;
     telemetry;
-    batch_limit;
     kind;
     shards;
     sequential;
@@ -318,10 +314,13 @@ let leaf_payload ~serial ~(report : Attestation.report) =
       report.mac;
     ]
 
+(* [Rebuild] seals eagerly once this many genuine reports are pending. *)
+let batch_limit = 256
+
 let admit_rebuild t ~serial report =
   t.pending <- (serial, leaf_payload ~serial ~report) :: t.pending;
   t.pending_count <- t.pending_count + 1;
-  if t.pending_count >= t.batch_limit then seal_rebuild t
+  if t.pending_count >= batch_limit then seal_rebuild t
 
 let admit_now t ~serial (report : Attestation.report) =
   match t.retain with

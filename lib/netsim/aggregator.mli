@@ -17,11 +17,13 @@
       within the nonce epoch that produced it, because the MAC binds the
       epoch's nonce — serving it across epochs would accept a replay
       (DESIGN.md §13).
-    - {b Merkle batching} ([Rebuild], the default): verified reports are
+    - {b Merkle batching} ([Rebuild], the default; the verifier
+      gateway's aggregation): verified reports are
       admitted as SHA-256 leaves and sealed into epoch-stamped
       {!Tytan_crypto.Merkle} roots; {!query} answers fleet-health polls
       in O(1) with a cache probe plus a single root check.
-    - {b Incremental aggregation} ([Retain]): per-device leaves persist
+    - {b Incremental aggregation} ([Retain], the swarm's incremental
+      engine): per-device leaves persist
       across epochs in a {!Tytan_crypto.Merkle.Inc} tree keyed by the
       measured identity (not the epoch nonce), so sealing an epoch
       recomputes only the root-paths of devices whose measurement
@@ -71,15 +73,14 @@ val create :
   ka_of:(serial:string -> bytes) ->
   clock:Tytan_machine.Cycles.t ->
   ?telemetry:Tytan_telemetry.Telemetry.t ->
-  ?batch_limit:int ->
   ?kind:kind ->
   ?shards:int ->
   unit ->
   t
 (** [ka_of] derives a device's attestation key (typically
     [Registry.attestation_key]); its cost is charged on first use per
-    device.  Under [Rebuild] (default) a full batch ([batch_limit],
-    default 256) seals eagerly and {!flush} seals the remainder; under
+    device.  Under [Rebuild] (default) a full batch of 256 genuine
+    reports seals eagerly and {!flush} seals the remainder; under
     [Retain] the epoch seals once, at {!flush}/{!begin_epoch}.
     [shards] (default 1) sizes the concurrent-checking shard array;
     with one shard the aggregator is byte-for-byte the sequential

@@ -12,12 +12,10 @@ module Obs = Tytan_obs.Obs
 
 type mode =
   | Scalar
-  | Batched
   | Incremental
 
 let mode_label = function
   | Scalar -> "scalar"
-  | Batched -> "batched"
   | Incremental -> "incremental"
 
 (* A fleet prover is deliberately lighter than a full [Fleet.device]:
@@ -131,9 +129,12 @@ let churn_events ~seed ~devices ~epochs ~churn_permille =
         List.init n (fun _ -> Fault_plan.Prng.int prng devices))
   end
 
+(* Fleet-health polls per epoch, rendered in every report header. *)
+let queries_per_epoch = 6
+
 let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
-    ?(queries_per_epoch = 6) ?rollout:rollout_image ?obs ?(domains = 1)
-    ?(steady = false) ?(churn_permille = 0) () =
+    ?rollout:rollout_image ?obs ?(domains = 1) ?(steady = false)
+    ?(churn_permille = 0) () =
   if devices <= 0 then invalid_arg "Swarm.run: devices must be positive";
   if epochs <= 0 then invalid_arg "Swarm.run: epochs must be positive";
   if domains < 1 then invalid_arg "Swarm.run: domains must be positive";
@@ -285,18 +286,12 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
   let aggregator =
     match mode with
     | Scalar -> None
-    | Batched ->
-        Some
-          (Aggregator.create
-             ~ka_of:(fun ~serial -> Registry.attestation_key registry ~serial)
-             ~clock:verifier_clock ~telemetry ~batch_limit:256 ~shards:domains
-             ())
     | Incremental ->
         Some
           (Aggregator.create
              ~ka_of:(fun ~serial -> Registry.attestation_key registry ~serial)
-             ~clock:verifier_clock ~telemetry ~batch_limit:256
-             ~kind:Aggregator.Retain ~shards:domains ())
+             ~clock:verifier_clock ~telemetry ~kind:Aggregator.Retain
+             ~shards:domains ())
   in
   (match aggregator with
   | Some a when obs <> None ->
@@ -611,53 +606,32 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
           done
         done
     | None ->
-        if domains = 1 then
-          for _q = 1 to queries_per_epoch do
-            for d = 0 to devices - 1 do
-              let healthy =
-                match (stash.(d), Verifier.outcome (Option.get sessions.(d))) with
-                | Some report, Verifier.Attested ->
-                    Cost_model.charge_hashing verifier_clock (fun () ->
-                        let ka =
-                          Registry.attestation_key registry
-                            ~serial:provers.(d).serial
-                        in
-                        Attestation.verify ~ka report ~expected:fw_id
-                          ~nonce:(Verifier.nonce (Option.get sessions.(d))))
-                | _ -> false
-              in
-              if healthy then incr healthy_polls
-            done
-          done
-        else begin
-          (* Scalar polls are the expensive path (full KDF + HMAC per
-             poll) and are embarrassingly parallel: per-device counts
-             summed sequentially — the same total in any interleaving. *)
-          let per_device = Array.make devices 0 in
-          Domain_pool.run pool (fun w ->
-              let lo, hi = ranges.(w) in
-              for d = lo to hi - 1 do
-                let n = ref 0 in
-                for _q = 1 to queries_per_epoch do
-                  (match
-                     (stash.(d), Verifier.outcome (Option.get sessions.(d)))
-                   with
-                  | Some report, Verifier.Attested ->
-                      if
-                        Cost_model.charge_hashing wver.(w) (fun () ->
-                            let ka =
-                              Registry.attestation_key registry
-                                ~serial:provers.(d).serial
-                            in
-                            Attestation.verify ~ka report ~expected:fw_id
-                              ~nonce:(Verifier.nonce (Option.get sessions.(d))))
-                      then incr n
-                  | _ -> ())
-                done;
-                per_device.(d) <- !n
-              done);
-          healthy_polls := Array.fold_left ( + ) 0 per_device
-        end);
+        (* Scalar polls are the expensive path (full KDF + HMAC per
+           poll) and are embarrassingly parallel: per-device counts
+           summed sequentially — the same total in any interleaving. *)
+        let per_device = Array.make devices 0 in
+        Domain_pool.run pool (fun w ->
+            let lo, hi = ranges.(w) in
+            for d = lo to hi - 1 do
+              let v = Option.get sessions.(d) in
+              match stash.(d) with
+              | Some report when Verifier.outcome v = Verifier.Attested ->
+                  let n = ref 0 in
+                  for _q = 1 to queries_per_epoch do
+                    if
+                      Cost_model.charge_hashing wver.(w) (fun () ->
+                          let ka =
+                            Registry.attestation_key registry
+                              ~serial:provers.(d).serial
+                          in
+                          Attestation.verify ~ka report ~expected:fw_id
+                            ~nonce:(Verifier.nonce v))
+                    then incr n
+                  done;
+                  per_device.(d) <- !n
+              | _ -> ()
+            done);
+        healthy_polls := Array.fold_left ( + ) 0 per_device);
     String.iteri
       (fun d c ->
         if (not (silent provers.(d) ~epoch:e)) && not provers.(d).tampered then
@@ -679,7 +653,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     in
     let delta_changed =
       match aggregator with
-      | Some a when mode = Incremental -> (
+      | Some a -> (
           match
             List.find_opt
               (fun (d : Aggregator.delta) -> d.Aggregator.at_epoch = e)
@@ -687,7 +661,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
           with
           | Some d -> List.length d.Aggregator.changed
           | None -> 0)
-      | _ -> 0
+      | None -> 0
     in
     merge_worker_clocks ();
     let verify_cycles = Cycles.now verifier_clock - cycles0 in
@@ -812,8 +786,8 @@ let normalize_verdicts s =
    how many health polls answered positive, how long settling took, and
    whether the honest fleet survived.  Everything mode-specific (roots,
    cache shape, batch count, cycle totals) is excluded, so scalar,
-   batched, incremental and any domain count must all agree byte for
-   byte on identity-schedule campaigns. *)
+   incremental and any domain count must all agree byte for byte on
+   identity-schedule campaigns. *)
 let semantic_digest r =
   let b = Buffer.create 256 in
   List.iter

@@ -7,25 +7,22 @@
     ({!Fleet.reference_image}), then polls fleet health
     [queries_per_epoch] times per epoch.
 
-    Three verifier engines drive {e identical wire traffic} — per-device
+    Two verifier engines drive {e identical wire traffic} — per-device
     {!Tytan_netsim.Verifier} retry sessions labelled [serial/eN], so the
     nonce, sequence and retransmission schedule of every session are the
-    same in every mode — and differ only in how a response is judged and
+    same in both modes — and differ only in how a response is judged and
     what survives between epochs:
 
-    - {!Scalar}: the stateless baseline.  Every session re-derives the
-      device's Ka from the registry and re-runs the HMAC check, and so
-      does every health poll.
-    - {!Batched}: responses are routed through
+    - {!Scalar}: the stateless baseline and the differential oracle.
+      Every session re-derives the device's Ka from the registry and
+      re-runs the HMAC check, and so does every health poll.
+    - {!Incremental}: responses are routed through
       {!Tytan_netsim.Aggregator} — Ka cached per campaign, measurement
-      cache per nonce epoch, verified reports sealed into epoch-stamped
-      Merkle roots, health polls answered in O(1).  The Merkle tree is
-      rebuilt from scratch every epoch.
-    - {!Incremental}: the aggregator retains one leaf per device across
-      epochs ({!Tytan_netsim.Aggregator.Retain}), recomputes only the
+      cache per nonce epoch, health polls answered in O(1) — and the
+      aggregator retains one leaf per device across epochs
+      ({!Tytan_netsim.Aggregator.Retain}), recomputes only the
       root-paths of leaves that changed, and emits a sparse per-epoch
-      delta.  On an identity schedule (every device challenged each
-      epoch) it is verdict- and poll-identical to {!Batched}.
+      delta.
 
     Because the wire schedules coincide, the modes must produce
     byte-identical per-device verdicts; the differential test locks this
@@ -66,7 +63,6 @@
 
 type mode =
   | Scalar
-  | Batched
   | Incremental
 
 val mode_label : mode -> string
@@ -89,7 +85,7 @@ type epoch_stats = {
   challenged : int;  (** devices driven through the wire protocol *)
   carried : int;  (** devices carried on liveness without re-challenge *)
   delta_changed : int;
-      (** incremental modes: leaves in this epoch's sparse delta *)
+      (** incremental mode: leaves in this epoch's sparse delta *)
   verify_cycles : int;  (** verifier clock advance over this epoch *)
 }
 
@@ -142,7 +138,6 @@ val run :
   seed:int ->
   ?faults:bool ->
   ?loss_percent:int ->
-  ?queries_per_epoch:int ->
   ?rollout:Tytan_telf.Telf.t ->
   ?obs:Tytan_obs.Obs.Log.t ->
   ?domains:int ->
@@ -165,9 +160,8 @@ val run :
     the campaign's global slice axis.  Recording charges no cycles —
     an observed run is bit-identical to an unobserved one.
 
-    [domains] is clamped to [devices]; [~steady:true] with a mode other
-    than {!Incremental} and out-of-range [churn_permille] raise
-    [Invalid_argument]. *)
+    [domains] is clamped to [devices]; [~steady:true] in {!Scalar} mode
+    and out-of-range [churn_permille] raise [Invalid_argument]. *)
 
 val verdicts : report -> string list
 (** Per-epoch verdict strings — the value the differential test compares
@@ -187,8 +181,8 @@ val semantic_digest : report -> string
     verdict strings with ['a'] normalised to ['A'] (a carried device is
     vouched-for exactly like an attested one), healthy-poll counts,
     settle slices, and survival.  Mode-specific shape (roots, batch and
-    cache counts, cycle totals) is excluded, so scalar, batched and
-    incremental runs of the same identity-schedule campaign must agree. *)
+    cache counts, cycle totals) is excluded, so scalar and incremental
+    runs of the same identity-schedule campaign must agree. *)
 
 val campaign_failed : report -> bool
 (** True when any session verdict is ['?'] (pending): the campaign

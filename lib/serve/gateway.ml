@@ -21,7 +21,6 @@ type config = {
   quarantine_slices : int;
   epoch_slices : int;
   slice_cycles : int;
-  aggregation : Aggregator.kind;
 }
 
 let default_config =
@@ -38,7 +37,6 @@ let default_config =
     quarantine_slices = 256;
     epoch_slices = 64;
     slice_cycles = 32_000;
-    aggregation = Aggregator.Rebuild;
   }
 
 type refusal =
@@ -251,7 +249,7 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
   let aggregator =
     Aggregator.create
       ~ka_of:(fun ~serial -> Registry.attestation_key registry ~serial)
-      ~clock ~telemetry ~batch_limit:256 ~kind:config.aggregation ()
+      ~clock ~telemetry ()
   in
   (* Epoch-seal events ride the aggregator's observer hook: the sealed
      batch lands under the corr id of the epoch that collected it. *)

@@ -7,8 +7,9 @@
     MAC checks but whether the service {e degrades gracefully} when the
     offered load exceeds what it can carry.  The gateway multiplexes
     many concurrent {!Tytan_netsim.Verifier} sessions — static, batched
-    (through {!Tytan_netsim.Aggregator}) and CFA — over per-device lossy
-    links, under an explicit robustness regime:
+    (through a {!Tytan_netsim.Aggregator.Rebuild} aggregator, its Merkle
+    batches built from scratch each epoch) and CFA — over per-device
+    lossy links, under an explicit robustness regime:
 
     - {b Admission control}: arrivals queue in a bounded pending queue;
       when it is full the gateway sheds the session with a typed {!Busy}
@@ -53,19 +54,12 @@ type config = {
   quarantine_slices : int;  (** how long a tripped breaker holds *)
   epoch_slices : int;  (** aggregator nonce-epoch length *)
   slice_cycles : int;  (** nominal cycles per slice, for latency rows *)
-  aggregation : Aggregator.kind;
-      (** how the aggregator carries sealed state across epochs:
-          {!Aggregator.Rebuild} (the default — each epoch's batches are
-          built from scratch, the original gateway behaviour, bit for
-          bit) or {!Aggregator.Retain} (one persistent leaf per device,
-          dirty-path recomputation, sparse epoch deltas). *)
 }
 
 val default_config : config
 (** pending 64, inflight 128, bucket 4 cap / 16 slices per token,
     store 512, deadline 96, 6 attempts under {!Verifier.default_backoff},
-    breaker 3, quarantine 256, epoch 64, 32 000 cycles per slice,
-    [Rebuild] aggregation. *)
+    breaker 3, quarantine 256, epoch 64, 32 000 cycles per slice. *)
 
 type refusal =
   | Busy  (** pending queue full — load shed *)

@@ -1,8 +1,9 @@
 (* Fleet-scale swarm attestation: the differential harness proving the
-   batched/cached verifier verdict-identical to N independent scalar
-   sessions (including under injected faults), plus unit tests for the
-   aggregator's measurement cache — epoch scoping, forgery rejection,
-   Merkle batch membership — and the headline cycle ratio. *)
+   incremental (aggregated, cached) verifier verdict-identical to N
+   independent scalar sessions (including under injected faults), plus
+   unit tests for the aggregator's measurement cache — epoch scoping,
+   forgery rejection, Merkle batch membership — and the headline cycle
+   ratio. *)
 
 open Tytan_core
 open Tytan_netsim
@@ -10,30 +11,30 @@ open Tytan_provision
 module Crypto = Tytan_crypto
 module Cycles = Tytan_machine.Cycles
 
-(* --- Differential: batched ≡ scalar ---------------------------------------- *)
+(* --- Differential: incremental ≡ scalar ------------------------------------ *)
 
 let check_differential ~devices ~epochs ~seed ~faults ~loss =
   let run mode =
     Swarm.run ~mode ~devices ~epochs ~seed ~faults ~loss_percent:loss ()
   in
   let s = run Swarm.Scalar in
-  let b = run Swarm.Batched in
+  let i = run Swarm.Incremental in
   let ctx = Printf.sprintf "devices=%d seed=%d faults=%b" devices seed faults in
   Alcotest.(check (list string))
     (ctx ^ ": per-device verdicts byte-identical")
-    (Swarm.verdicts s) (Swarm.verdicts b);
+    (Swarm.verdicts s) (Swarm.verdicts i);
   List.iter2
-    (fun (es : Swarm.epoch_stats) (eb : Swarm.epoch_stats) ->
+    (fun (es : Swarm.epoch_stats) (ei : Swarm.epoch_stats) ->
       Alcotest.(check int)
         (ctx ^ ": health-poll answers identical")
-        es.Swarm.healthy_polls eb.Swarm.healthy_polls;
+        es.Swarm.healthy_polls ei.Swarm.healthy_polls;
       Alcotest.(check int)
         (ctx ^ ": settle slices identical (same wire schedule)")
-        es.Swarm.slices eb.Swarm.slices)
-    s.Swarm.per_epoch b.Swarm.per_epoch;
+        es.Swarm.slices ei.Swarm.slices)
+    s.Swarm.per_epoch i.Swarm.per_epoch;
   Alcotest.(check bool)
     (ctx ^ ": survival verdict identical")
-    s.Swarm.survived b.Swarm.survived
+    s.Swarm.survived i.Swarm.survived
 
 let differential_tests =
   [
@@ -52,7 +53,7 @@ let differential_tests =
         (* Guard against the differential passing vacuously: at this size
            the fault schedule must actually tamper or silence someone. *)
         let r =
-          Swarm.run ~mode:Swarm.Batched ~devices:48 ~epochs:3 ~seed:7
+          Swarm.run ~mode:Swarm.Incremental ~devices:48 ~epochs:3 ~seed:7
             ~faults:true ~loss_percent:15 ()
         in
         Alcotest.(check bool)
@@ -68,11 +69,11 @@ let differential_tests =
           (non_attested > 0));
   ]
 
-(* --- Three-mode soak: scalar == batched == incremental --------------------- *)
+(* --- Two-mode soak: scalar == incremental ----------------------------------- *)
 
-(* On an identity schedule (no --steady) all three engines must agree:
-   batched and incremental are checked verdict-by-verdict against scalar,
-   and the mode-independent semantic digest must match exactly.  20
+(* On an identity schedule (no --steady) both engines must agree:
+   incremental is checked verdict-by-verdict against scalar, and the
+   mode-independent semantic digest must match exactly.  20
    seeds, alternating fault injection and link loss, so the agreement is
    exercised across refusals, kills, hangs and hostile links — not just
    the happy path. *)
@@ -89,25 +90,17 @@ let soak_tests =
                 ~loss_percent:loss ()
             in
             let s = run Swarm.Scalar in
-            let b = run Swarm.Batched in
             let i = run Swarm.Incremental in
             let ctx =
               Printf.sprintf "seed=%d faults=%b loss=%d" seed faults loss
             in
             Alcotest.(check (list string))
-              (ctx ^ ": scalar/batched verdicts")
-              (Swarm.verdicts s) (Swarm.verdicts b);
-            Alcotest.(check (list string))
-              (ctx ^ ": batched/incremental verdicts")
-              (Swarm.verdicts b) (Swarm.verdicts i);
+              (ctx ^ ": scalar/incremental verdicts")
+              (Swarm.verdicts s) (Swarm.verdicts i);
             Alcotest.(check string)
               (ctx ^ ": semantic digest scalar/incremental")
               (Swarm.semantic_digest s)
               (Swarm.semantic_digest i);
-            Alcotest.(check string)
-              (ctx ^ ": semantic digest scalar/batched")
-              (Swarm.semantic_digest s)
-              (Swarm.semantic_digest b);
             Alcotest.(check bool)
               (ctx ^ ": survival verdict")
               s.Swarm.survived i.Swarm.survived)
@@ -150,9 +143,11 @@ let parallel_tests =
              [ (2, false); (7, true); (13, false) ]));
     Alcotest.test_case "batched and scalar engines shard identically too"
       `Quick
+      (* The aggregated (incremental) engine on two more seeds, and the
+         scalar baseline. *)
       (guarded (fun () ->
-           identical ~mode:Swarm.Batched ~seed:3 ();
-           identical ~mode:Swarm.Batched ~seed:7 ~faults:true ();
+           identical ~mode:Swarm.Incremental ~seed:3 ();
+           identical ~mode:Swarm.Incremental ~seed:7 ~faults:true ();
            identical ~mode:Swarm.Scalar ~seed:3 ()));
     Alcotest.test_case "steady-state churn campaigns shard identically" `Quick
       (guarded (fun () ->
@@ -271,7 +266,7 @@ let steady_tests =
                    (Swarm.run ~mode ~devices:4 ~epochs:2 ~seed:1 ~steady:true ());
                  false
                with Invalid_argument _ -> true))
-          [ Swarm.Scalar; Swarm.Batched ]);
+          [ Swarm.Scalar ]);
   ]
 
 (* --- The headline ratio ----------------------------------------------------- *)
@@ -284,27 +279,28 @@ let ratio_tests =
           Swarm.run ~mode ~devices:256 ~epochs:4 ~seed:1 ()
         in
         let s = run Swarm.Scalar in
-        let b = run Swarm.Batched in
+        let i = run Swarm.Incremental in
         Alcotest.(check (list string))
-          "verdicts identical" (Swarm.verdicts s) (Swarm.verdicts b);
+          "verdicts identical" (Swarm.verdicts s) (Swarm.verdicts i);
         let ratio =
           float_of_int s.Swarm.verifier_cycles
-          /. float_of_int (max 1 b.Swarm.verifier_cycles)
+          /. float_of_int (max 1 i.Swarm.verifier_cycles)
         in
         if ratio < 5.0 then
-          Alcotest.failf "expected >= 5x, got %.2fx (scalar %d, batched %d)"
-            ratio s.Swarm.verifier_cycles b.Swarm.verifier_cycles;
+          Alcotest.failf
+            "expected >= 5x, got %.2fx (scalar %d, incremental %d)" ratio
+            s.Swarm.verifier_cycles i.Swarm.verifier_cycles;
         (* The cache must actually be doing the work: one miss per
            device per epoch, hits on every health poll. *)
         let hits, misses =
           List.fold_left
             (fun (h, m) (e : Swarm.epoch_stats) ->
               (h + e.Swarm.cache_hits, m + e.Swarm.cache_misses))
-            (0, 0) b.Swarm.per_epoch
+            (0, 0) i.Swarm.per_epoch
         in
         Alcotest.(check int) "one miss per device per epoch" (256 * 4) misses;
         Alcotest.(check int) "every health poll served from cache"
-          (256 * 4 * b.Swarm.queries_per_epoch)
+          (256 * 4 * i.Swarm.queries_per_epoch)
           hits);
   ]
 
@@ -405,6 +401,35 @@ let aggregator_tests =
                   (Crypto.Merkle.verify ~root ~leaf
                      (Crypto.Merkle.proof tree i)))
               leaves);
+    Alcotest.test_case "Rebuild seals a full batch of 256, flush the rest"
+      `Quick (fun () ->
+        let a = make_aggregator () in
+        Aggregator.begin_epoch a ~epoch:0;
+        let nonce = Bytes.of_string "limit-nonce" in
+        let check serial report =
+          ignore (Aggregator.check_report a ~serial ~expected:fw_id ~nonce report)
+        in
+        let admit i =
+          let serial = Printf.sprintf "s%03d" i in
+          check serial (genuine_report ~serial ~nonce)
+        in
+        let sizes () = List.map (fun (_, _, n) -> n) (Aggregator.batches a) in
+        for i = 0 to 254 do
+          admit i
+        done;
+        check "s255"
+          { (genuine_report ~serial:"s255" ~nonce) with mac = Bytes.make 20 'x' };
+        Alcotest.(check (list int))
+          "255 genuine admissions and a forgery: nothing sealed" [] (sizes ());
+        admit 255;
+        Alcotest.(check (list int)) "the 256th seals eagerly" [ 256 ] (sizes ());
+        for i = 256 to 299 do
+          admit i
+        done;
+        Alcotest.(check (list int)) "the rest waits for flush" [ 256 ] (sizes ());
+        Aggregator.flush a;
+        Alcotest.(check (list int)) "flush seals the remainder" [ 256; 44 ]
+          (sizes ()));
     Alcotest.test_case "retained tree: carry, tombstone, membership, deltas"
       `Quick (fun () ->
         let a =
@@ -489,7 +514,8 @@ module Tasks = Tytan_tasks.Task_lib
 module Task_id = Tytan_core.Task_id
 
 let rollout_run image =
-  Swarm.run ~mode:Swarm.Batched ~devices:8 ~epochs:2 ~seed:3 ~rollout:image ()
+  Swarm.run ~mode:Swarm.Incremental ~devices:8 ~epochs:2 ~seed:3 ~rollout:image
+    ()
 
 let rollout_tests =
   [
@@ -518,7 +544,7 @@ let rollout_tests =
                has "flow" && has "IPC payload");
             (* the fleet stays on — and attests — the incumbent firmware *)
             let incumbent =
-              Swarm.run ~mode:Swarm.Batched ~devices:8 ~epochs:2 ~seed:3 ()
+              Swarm.run ~mode:Swarm.Incremental ~devices:8 ~epochs:2 ~seed:3 ()
             in
             Alcotest.(check (list string))
               "campaign identical to one with no rollout at all"
@@ -536,7 +562,7 @@ let rollout_tests =
             (* adopting new firmware changes what the fleet measures, so
                the sealed roots must differ from the incumbent campaign *)
             let incumbent =
-              Swarm.run ~mode:Swarm.Batched ~devices:8 ~epochs:2 ~seed:3 ()
+              Swarm.run ~mode:Swarm.Incremental ~devices:8 ~epochs:2 ~seed:3 ()
             in
             Alcotest.(check bool) "different measurement roots" true
               (List.exists2
@@ -554,9 +580,9 @@ let rollout_tests =
         let run mode =
           Swarm.run ~mode ~devices:5 ~epochs:2 ~seed:9 ~rollout:leaky ()
         in
-        let s = run Swarm.Scalar and b = run Swarm.Batched in
+        let s = run Swarm.Scalar and i = run Swarm.Incremental in
         Alcotest.(check bool) "same acceptance" true
-          (match (s.Swarm.rollout, b.Swarm.rollout) with
+          (match (s.Swarm.rollout, i.Swarm.rollout) with
           | Some a, Some b ->
               a.Swarm.accepted = b.Swarm.accepted
               && a.Swarm.refusal = b.Swarm.refusal
@@ -564,7 +590,7 @@ let rollout_tests =
           | _ -> false);
         Alcotest.(check (list string))
           "verdicts still byte-identical" (Swarm.verdicts s)
-          (Swarm.verdicts b));
+          (Swarm.verdicts i));
   ]
 
 let () =

@@ -51,7 +51,7 @@ let run_rollout ?obs () =
     ]
 
 let run_swarm ?obs () =
-  Swarm.run ~mode:Swarm.Batched ~devices:12 ~epochs:2 ~seed:3 ~faults:true
+  Swarm.run ~mode:Swarm.Incremental ~devices:12 ~epochs:2 ~seed:3 ~faults:true
     ~loss_percent:10 ?obs ()
 
 (* --- chain ----------------------------------------------------------------- *)

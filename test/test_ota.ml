@@ -687,7 +687,7 @@ let gate_tests =
         let v = Gate.vet leaky in
         check_bool "gate refuses" false v.Gate.accepted;
         let r =
-          Swarm.run ~mode:Swarm.Batched ~devices:4 ~epochs:1 ~seed:1
+          Swarm.run ~mode:Swarm.Incremental ~devices:4 ~epochs:1 ~seed:1
             ~rollout:leaky ()
         in
         let sr = Option.get r.Swarm.rollout in

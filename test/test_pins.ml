@@ -51,15 +51,15 @@ let swarm_cases =
           [
             ( name "faults",
               fun () -> run ~faults:true ~steady:false ~churn_permille:0 );
-            (* Steady state needs the incremental engine; the other modes
-               run the same churn schedule as full sweeps. *)
+            (* Steady state needs the incremental engine; scalar runs the
+               same churn schedule as full sweeps. *)
             ( name "steady-churn-10",
               fun () ->
                 run ~faults:false ~steady:(mode = Swarm.Incremental)
                   ~churn_permille:10 );
           ])
         [ 1; 2; 3 ])
-    [ Swarm.Scalar; Swarm.Batched; Swarm.Incremental ]
+    [ Swarm.Scalar; Swarm.Incremental ]
 
 let gateway_cases =
   let run ?arrival ?(faults = false) ~devices ~slices ~rate ~seed () =
@@ -185,12 +185,6 @@ let pins =
     ("swarm/scalar/steady-churn-10/seed-2", "digest: sha1:58525baba0b343ad5e8d89de6aa0b64355884411");
     ("swarm/scalar/faults/seed-3", "digest: sha1:abe5f01482d3d947123e702c4cd095728aecd3f7");
     ("swarm/scalar/steady-churn-10/seed-3", "digest: sha1:ab95b21720d31b273592915a507f776a5aac68a7");
-    ("swarm/batched/faults/seed-1", "digest: sha1:c264e39f63c06f5bdd54fcb2ea86c0855df73610");
-    ("swarm/batched/steady-churn-10/seed-1", "digest: sha1:99de29f44798fb8c5f9436a050482e823b9b61c9");
-    ("swarm/batched/faults/seed-2", "digest: sha1:2df8f1cffe16c379899d075974352d313dfe8544");
-    ("swarm/batched/steady-churn-10/seed-2", "digest: sha1:27b774e5fac2f1745c3d1629d7a170d516063f8f");
-    ("swarm/batched/faults/seed-3", "digest: sha1:957d4f1d8b9abcc54587aebe023a383b3921d259");
-    ("swarm/batched/steady-churn-10/seed-3", "digest: sha1:15af5d6a75c11ed5b4d0338dd21c0d07bac6fd8c");
     ("swarm/incremental/faults/seed-1", "digest: sha1:b66f52d70552cd37135926d6bfd576fb39f7233c");
     ("swarm/incremental/steady-churn-10/seed-1", "digest: sha1:42eef45b06681e9d49df594282104869e25d4a75");
     ("swarm/incremental/faults/seed-2", "digest: sha1:f868ecf1e646e892093f01b9239265d7bc159f87");

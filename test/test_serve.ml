@@ -107,27 +107,6 @@ let gateway_tests =
           r.Gateway.admitted (Gateway.settled r);
         check_bool "queue stayed bounded under faults" true
           (r.Gateway.max_queue_depth <= r.Gateway.queue_bound));
-    Alcotest.test_case "retained aggregation serves the gateway identically"
-      `Quick (fun () ->
-        (* Opting the gateway's aggregator into the incremental Retain
-           tree must not change a single admission, attestation or shed
-           decision — only the sealing strategy underneath. *)
-        let run aggregation =
-          Gateway.run
-            ~config:{ Gateway.default_config with Gateway.aggregation }
-            ~devices:48 ~slices:200 ~arrival_permille:4000 ~seed:17 ()
-        in
-        let rebuild = run Aggregator.Rebuild in
-        let retain = run Aggregator.Retain in
-        check_int "same arrivals" rebuild.Gateway.arrivals
-          retain.Gateway.arrivals;
-        check_int "same admissions" rebuild.Gateway.admitted
-          retain.Gateway.admitted;
-        check_int "same attestations" rebuild.Gateway.attested
-          retain.Gateway.attested;
-        check_int "same sheds" (Gateway.shed rebuild) (Gateway.shed retain);
-        check_bool "retained run still seals batches" true
-          (retain.Gateway.batches > 0));
   ]
 
 (* --- Determinism under load ------------------------------------------------- *)
@@ -326,7 +305,7 @@ let link_tests =
 
 let mk_swarm_report verdicts : Swarm.report =
   {
-    Swarm.mode = Swarm.Batched;
+    Swarm.mode = Swarm.Incremental;
     devices = String.length verdicts;
     epochs = 1;
     seed = 1;
@@ -381,7 +360,7 @@ let gating_tests =
     Alcotest.test_case "real campaigns never leave a session unsettled" `Quick
       (fun () ->
         let r =
-          Swarm.run ~mode:Swarm.Batched ~devices:16 ~epochs:2 ~seed:4
+          Swarm.run ~mode:Swarm.Incremental ~devices:16 ~epochs:2 ~seed:4
             ~faults:true ~loss_percent:25 ()
         in
         check_bool "no '?' even under heavy faults" false

@@ -209,10 +209,10 @@ let fleet_soak_test =
           check_bool "rendering is bit-identical" true
             (Swarm.to_string r1 = Swarm.to_string r2))
         [
-          (Tytan_provision.Swarm.Batched, false, 7);
-          (Tytan_provision.Swarm.Batched, true, 7);
+          (Tytan_provision.Swarm.Incremental, false, 7);
+          (Tytan_provision.Swarm.Incremental, true, 7);
           (Tytan_provision.Swarm.Scalar, true, 7);
-          (Tytan_provision.Swarm.Batched, true, 99);
+          (Tytan_provision.Swarm.Incremental, true, 99);
         ])
 
 (* Telemetry's core accounting contract must survive the swarm additions:
