@@ -828,9 +828,8 @@ let audit devices slices canary seed faults trail slo verify_chain tamper
           prerr_endline "tytan: tampered trail verified clean";
           exit 3
         end;
-        Printf.printf
-          "chain ok: records=%d checkpoints=%d head=sha256:%s\n"
-          s.Obs.Log.total s.Obs.Log.checkpoints s.Obs.Log.head
+        Printf.printf "chain ok: records=%d head=sha256:%s\n" s.Obs.Log.total
+          s.Obs.Log.head
     | Error msg ->
         if tamper_kind = None then begin
           prerr_endline ("tytan: clean trail failed verification: " ^ msg);
@@ -881,8 +880,8 @@ let audit_cmd =
       value & flag
       & info [ "verify-chain" ]
           ~doc:
-            "Export the trail and re-derive the hash chain, checkpoints and \
-             sequence numbering; exit 1 on any divergence.")
+            "Export the trail and re-derive the hash chain and sequence \
+             numbering; exit 1 on any divergence.")
   in
   let tamper =
     Arg.(

@@ -1,7 +1,6 @@
 open Tytan_core
 module Crypto = Tytan_crypto
 module Cycles = Tytan_machine.Cycles
-module Telemetry = Tytan_telemetry.Telemetry
 
 type kind = Rebuild | Retain
 
@@ -29,7 +28,7 @@ type delta = { at_epoch : int; new_root : bytes; changed : delta_entry list }
    That is the whole determinism argument at this layer: a device is
    pinned to one shard, so every mutation it causes is ordered by that
    shard's program order, and cross-shard effects (admission order,
-   telemetry, cycle totals) are applied only from sequential code. *)
+   cycle totals) are applied only from sequential code. *)
 type shard = {
   sclock : Cycles.t;
   mutable absorbed : int;  (* sclock cycles already merged into clock *)
@@ -40,8 +39,6 @@ type shard = {
   mutable hits : int;
   mutable misses : int;
   mutable key_derivations : int;
-  mutable tel_hits : int;  (* telemetry deltas not yet flushed *)
-  mutable tel_misses : int;
 }
 
 (* Epoch-persistent leaf store for [Retain]: one Merkle.Inc slot per
@@ -63,10 +60,9 @@ type retain_state = {
 type t = {
   ka_of : serial:string -> bytes;
   clock : Cycles.t;
-  telemetry : Telemetry.t option;
   kind : kind;
   shards : shard array;
-  sequential : bool;  (* single shard: admit + telemetry inline *)
+  sequential : bool;  (* single shard: admit inline *)
   retain : retain_state option;
   current_roots : (string, unit) Hashtbl.t;
   mutable epoch : int;
@@ -88,11 +84,9 @@ let make_shard clock =
     hits = 0;
     misses = 0;
     key_derivations = 0;
-    tel_hits = 0;
-    tel_misses = 0;
   }
 
-let create ~ka_of ~clock ?telemetry ?(kind = Rebuild) ?(shards = 1) () =
+let create ~ka_of ~clock ?(kind = Rebuild) ?(shards = 1) () =
   if shards <= 0 then invalid_arg "Aggregator.create: shards";
   let sequential = shards = 1 in
   let shards =
@@ -105,7 +99,6 @@ let create ~ka_of ~clock ?telemetry ?(kind = Rebuild) ?(shards = 1) () =
   {
     ka_of;
     clock;
-    telemetry;
     kind;
     shards;
     sequential;
@@ -135,16 +128,12 @@ let create ~ka_of ~clock ?telemetry ?(kind = Rebuild) ?(shards = 1) () =
   }
 
 let on_seal t f = t.seal_hook <- Some f
-let emit t f = match t.telemetry with Some tel -> f tel | None -> ()
 
 let epoch t = t.epoch
 
 let record_seal t ~root ~size =
   Hashtbl.replace t.current_roots (Bytes.to_string root) ();
   t.batches <- { epoch = t.epoch; root; size } :: t.batches;
-  emit t (fun tel ->
-      Telemetry.observe tel ~component:"swarm" "batch_size" size;
-      Telemetry.incr tel ~component:"swarm" "batches_sealed");
   match t.seal_hook with
   | Some f -> f ~epoch:t.epoch ~root ~leaves:size
   | None -> ()
@@ -339,16 +328,9 @@ let check_report ?(shard = 0) t ~serial ~expected ~nonce
     match Hashtbl.find_opt sh.cache serial with
     | Some e when Crypto.Constant_time.equal e.nonce nonce ->
         sh.hits <- sh.hits + 1;
-        if t.sequential then
-          emit t (fun tel -> Telemetry.incr tel ~component:"swarm" "cache_hits")
-        else sh.tel_hits <- sh.tel_hits + 1;
         Crypto.Constant_time.equal e.expected_mac report.mac
     | _ ->
         sh.misses <- sh.misses + 1;
-        if t.sequential then
-          emit t (fun tel ->
-              Telemetry.incr tel ~component:"swarm" "cache_misses")
-        else sh.tel_misses <- sh.tel_misses + 1;
         let st = mac_state_of t sh serial in
         let expected_mac =
           Cost_model.charge_hashing sh.sclock (fun () ->
@@ -367,9 +349,9 @@ let check_report ?(shard = 0) t ~serial ~expected ~nonce
 
 (* Sequential sync point after a parallel slice: apply queued
    admissions in shard order (= device order, since the engine pins
-   contiguous device ranges to shards), merge shard clocks into the
-   main clock, and flush deferred telemetry.  With one shard every
-   queue is empty and the clock is already the main clock — a no-op. *)
+   contiguous device ranges to shards) and merge shard clocks into the
+   main clock.  With one shard every queue is empty and the clock is
+   already the main clock — a no-op. *)
 let drain t =
   if not t.sequential then begin
     Array.iter
@@ -377,16 +359,6 @@ let drain t =
         let queued = List.rev sh.queue in
         sh.queue <- [];
         List.iter (fun (serial, report) -> admit_now t ~serial report) queued;
-        if sh.tel_hits > 0 then begin
-          emit t (fun tel ->
-              Telemetry.add tel ~component:"swarm" "cache_hits" sh.tel_hits);
-          sh.tel_hits <- 0
-        end;
-        if sh.tel_misses > 0 then begin
-          emit t (fun tel ->
-              Telemetry.add tel ~component:"swarm" "cache_misses" sh.tel_misses);
-          sh.tel_misses <- 0
-        end;
         let now = Cycles.now sh.sclock in
         let unmerged = now - sh.absorbed in
         if unmerged > 0 then begin
@@ -407,8 +379,7 @@ let query ?(shard = 0) t ~serial ~epoch =
       if ok then begin
         (* Serving the cached measurement — the O(1) fast path the
            scalar verifier pays a full KDF + HMAC for. *)
-        t.shards.(0).hits <- t.shards.(0).hits + 1;
-        emit t (fun tel -> Telemetry.incr tel ~component:"swarm" "cache_hits")
+        t.shards.(0).hits <- t.shards.(0).hits + 1
       end;
       ok
   | Some { sealed_root = None; _ } | None -> false
@@ -433,8 +404,6 @@ let carried_healthy t ~serial =
         ->
           Cycles.charge t.clock Cost_model.swarm_root_check;
           t.shards.(0).hits <- t.shards.(0).hits + 1;
-          emit t (fun tel ->
-              Telemetry.incr tel ~component:"swarm" "cache_hits");
           true
       | _ -> false)
 
@@ -473,3 +442,12 @@ let sum_shards t f = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards
 let cache_hits t = sum_shards t (fun sh -> sh.hits)
 let cache_misses t = sum_shards t (fun sh -> sh.misses)
 let key_derivations t = sum_shards t (fun sh -> sh.key_derivations)
+
+let counters t =
+  List.filter
+    (fun (_, n) -> n > 0)
+    [
+      ("swarm.batches_sealed", List.length t.batches);
+      ("swarm.cache_hits", cache_hits t);
+      ("swarm.cache_misses", cache_misses t);
+    ]

@@ -46,8 +46,10 @@
     calling domain's compression counters (SHA-1 at
     [Cost_model.crypto_per_compression], SHA-256 at
     [Cost_model.sha256_per_compression]); cache probes charge
-    [swarm_cache_lookup] / [swarm_root_check].  Hits, misses and batch
-    sizes flow through [lib/telemetry] when a registry is attached. *)
+    [swarm_cache_lookup] / [swarm_root_check].  Hits, misses and sealed
+    batches are counted once, in the aggregator's own ledger, and read
+    back through {!cache_hits}, {!cache_misses}, {!batches} and
+    {!counters}. *)
 
 open Tytan_core
 module Crypto = Tytan_crypto
@@ -72,7 +74,6 @@ type delta = { at_epoch : int; new_root : bytes; changed : delta_entry list }
 val create :
   ka_of:(serial:string -> bytes) ->
   clock:Tytan_machine.Cycles.t ->
-  ?telemetry:Tytan_telemetry.Telemetry.t ->
   ?kind:kind ->
   ?shards:int ->
   unit ->
@@ -122,9 +123,9 @@ val check_report :
 
 val drain : t -> unit
 (** Sequential sync point after a parallel slice: apply queued
-    admissions in shard order, merge shard clocks into the main clock,
-    flush deferred telemetry.  No-op with one shard.  Must be called
-    from sequential code. *)
+    admissions in shard order and merge shard clocks into the main
+    clock.  No-op with one shard.  Must be called from sequential
+    code. *)
 
 val flush : t -> unit
 (** Seal the in-progress batch / commit the retained tree (end of an
@@ -170,3 +171,8 @@ val cache_misses : t -> int
 val key_derivations : t -> int
 (** How many devices have had [Ka] derived (≤ fleet size, campaign
     lifetime). *)
+
+val counters : t -> (string * int) list
+(** The report rows of the ledger above: [swarm.batches_sealed],
+    [swarm.cache_hits] and [swarm.cache_misses], in that (sorted)
+    order, with zero counts left out. *)

@@ -121,9 +121,9 @@ type record = {
   event : Event.t;
 }
 
-(* The canonical record encoding — what the chain and the checkpoints
-   hash, and what [export] frames.  Tab-separated; every string field
-   is sanitized, so the six fields are unambiguous. *)
+(* The canonical record encoding — what the chain hashes and what
+   [export] frames.  Tab-separated; every string field is sanitized, so
+   the six fields are unambiguous. *)
 let encode_record (r : record) =
   Printf.sprintf "%d\t%d\t%s\t%s\t%s\t%s" r.seq r.at (sanitize r.corr)
     (match r.parent with None -> "-" | Some p -> sanitize p)
@@ -138,31 +138,19 @@ let chain_step head line =
   Crypto.Sha256.finalize ctx
 
 module Log = struct
-  type checkpoint = { upto : int; root : bytes }
-
   type t = {
-    checkpoint_every : int;
     mutable rev_records : record list;
     mutable count : int;
     mutable head : bytes;
-    mutable rev_window : string list;  (* encodings since last checkpoint *)
-    mutable window_n : int;
-    mutable rev_checkpoints : checkpoint list;
     parents : (string, string option) Hashtbl.t;
     mutable rev_minted : string list;
   }
 
-  let create ?(checkpoint_every = 64) () =
-    if checkpoint_every <= 0 then
-      invalid_arg "Obs.Log.create: checkpoint_every must be positive";
+  let create () =
     {
-      checkpoint_every;
       rev_records = [];
       count = 0;
       head = genesis;
-      rev_window = [];
-      window_n = 0;
-      rev_checkpoints = [];
       parents = Hashtbl.create 64;
       rev_minted = [];
     }
@@ -179,29 +167,14 @@ module Log = struct
     | Some p -> p
     | None -> None
 
-  let window_root lines =
-    Crypto.Merkle.root
-      (Crypto.Merkle.build
-         (Array.of_list (List.rev_map Bytes.of_string lines)))
-
   let record t ~corr ~at event =
     ignore (mint t corr);
     let r =
       { seq = t.count; at; corr; parent = parent_of t corr; event }
     in
-    let line = encode_record r in
     t.rev_records <- r :: t.rev_records;
     t.count <- t.count + 1;
-    t.head <- chain_step t.head line;
-    t.rev_window <- line :: t.rev_window;
-    t.window_n <- t.window_n + 1;
-    if t.window_n >= t.checkpoint_every then begin
-      t.rev_checkpoints <-
-        { upto = t.count; root = window_root t.rev_window }
-        :: t.rev_checkpoints;
-      t.rev_window <- [];
-      t.window_n <- 0
-    end
+    t.head <- chain_step t.head (encode_record r)
 
   let length t = t.count
   let records t = List.rev t.rev_records
@@ -212,7 +185,7 @@ module Log = struct
 
   (* ---- binary trail --------------------------------------------------- *)
 
-  let magic = "TYOB1"
+  let magic = "TYOB2"
 
   let put_u32 buf n =
     Buffer.add_char buf (Char.chr ((n lsr 24) land 0xFF));
@@ -220,49 +193,27 @@ module Log = struct
     Buffer.add_char buf (Char.chr ((n lsr 8) land 0xFF));
     Buffer.add_char buf (Char.chr (n land 0xFF))
 
-  let export t =
-    (* Seal the trailing partial window on the way out, so every record
-       of the trail sits under some checkpoint. *)
-    let checkpoints =
-      List.rev
-        (if t.window_n > 0 then
-           { upto = t.count; root = window_root t.rev_window }
-           :: t.rev_checkpoints
-         else t.rev_checkpoints)
-    in
+  (* Magic, record count, length-prefixed record encodings, chain head. *)
+  let frame lines head =
     let buf = Buffer.create 4096 in
     Buffer.add_string buf magic;
-    put_u32 buf t.count;
+    put_u32 buf (List.length lines);
     List.iter
-      (fun r ->
-        let line = encode_record r in
+      (fun line ->
         put_u32 buf (String.length line);
         Buffer.add_string buf line)
-      (records t);
-    put_u32 buf (List.length checkpoints);
-    List.iter
-      (fun { upto; root } ->
-        put_u32 buf upto;
-        Buffer.add_bytes buf root)
-      checkpoints;
-    Buffer.add_bytes buf t.head;
+      lines;
+    Buffer.add_bytes buf head;
     Buffer.to_bytes buf
 
-  type chain_summary = {
-    total : int;
-    checkpoints : int;
-    head : string;
-  }
+  let export t = frame (List.rev_map encode_record t.rev_records) t.head
 
-  (* Defensive structural decode: cursor with explicit bounds checks,
+  type chain_summary = { total : int; head : string }
+
+  (* Defensive structural decode into the record encodings, in log
+     order, and the stored head: cursor with explicit bounds checks,
      result-typed — feeding [verify_chain] arbitrary bytes must end in
      [Error], never an exception. *)
-  type decoded = {
-    d_lines : string list;  (* record encodings, log order *)
-    d_checkpoints : (int * bytes) list;
-    d_head : bytes;
-  }
-
   let decode blob =
     let len = Bytes.length blob in
     let pos = ref 0 in
@@ -298,26 +249,14 @@ module Log = struct
             read_records (i + 1) (line :: acc)
         in
         let* lines = read_records 0 [] in
-        let* ck_count = u32 "checkpoint count" in
-        if ck_count > len then Error "checkpoint count exceeds trail size"
-        else
-          let rec read_cks i acc =
-            if i = ck_count then Ok (List.rev acc)
-            else
-              let* upto = u32 (Printf.sprintf "checkpoint %d bound" i) in
-              let* root = take 32 (Printf.sprintf "checkpoint %d root" i) in
-              read_cks (i + 1) ((upto, Bytes.of_string root) :: acc)
-          in
-          let* cks = read_cks 0 [] in
-          let* head = take 32 "chain head" in
-          if !pos <> len then Error "trailing garbage after chain head"
-          else
-            Ok { d_lines = lines; d_checkpoints = cks; d_head = Bytes.of_string head }
+        let* head = take 32 "chain head" in
+        if !pos <> len then Error "trailing garbage after chain head"
+        else Ok (lines, Bytes.of_string head)
 
   let verify_chain ?expected_head blob =
     match decode blob with
     | Error e -> Error e
-    | Ok d -> (
+    | Ok (lines, stored_head) -> (
         (* Sequence numbers must be dense from zero: a spliced-out
            record shows up here even before the chain disagrees. *)
         let seq_ok =
@@ -329,140 +268,73 @@ module Log = struct
                   match int_of_string_opt (String.sub line 0 t) with
                   | Some seq -> seq = i
                   | None -> false))
-            (List.init (List.length d.d_lines) Fun.id)
-            d.d_lines
+            (List.init (List.length lines) Fun.id)
+            lines
         in
         if not seq_ok then Error "sequence numbering broken (splice?)"
         else
-          let head =
-            List.fold_left (fun h line -> chain_step h line) genesis d.d_lines
-          in
-          if not (Bytes.equal head d.d_head) then
+          let head = List.fold_left chain_step genesis lines in
+          if not (Bytes.equal head stored_head) then
             Error "chain head mismatch: a record was altered or reordered"
           else
-            let total = List.length d.d_lines in
-            let lines = Array.of_list d.d_lines in
-            let rec check_cks prev = function
-              | [] ->
-                  if prev <> total then
-                    Error
-                      (Printf.sprintf
-                         "checkpoints cover %d of %d records" prev total)
-                  else Ok ()
-              | (upto, root) :: rest ->
-                  if upto <= prev || upto > total then
-                    Error "checkpoint bounds out of order"
-                  else
-                    let window =
-                      Array.to_list (Array.sub lines prev (upto - prev))
-                    in
-                    let recomputed =
-                      Crypto.Merkle.root
-                        (Crypto.Merkle.build
-                           (Array.of_list (List.map Bytes.of_string window)))
-                    in
-                    if not (Bytes.equal recomputed root) then
-                      Error
-                        (Printf.sprintf
-                           "checkpoint root mismatch over records %d..%d" prev
-                           (upto - 1))
-                    else check_cks upto rest
-            in
-            let cks_result =
-              if total = 0 && d.d_checkpoints = [] then Ok ()
-              else check_cks 0 d.d_checkpoints
-            in
-            match cks_result with
-            | Error e -> Error e
-            | Ok () -> (
-                let head_hex = Crypto.Sha256.to_hex head in
-                match expected_head with
-                | Some h when h <> head_hex ->
-                    Error "chain head does not match the pinned head"
-                | _ ->
-                    Ok
-                      {
-                        total;
-                        checkpoints = List.length d.d_checkpoints;
-                        head = head_hex;
-                      }))
+            let head_hex = Crypto.Sha256.to_hex head in
+            match expected_head with
+            | Some h when h <> head_hex ->
+                Error "chain head does not match the pinned head"
+            | _ -> Ok { total = List.length lines; head = head_hex })
 
   type tamper =
     | Truncate
     | Splice
     | Bit_flip of int
 
-  let reencode d =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf magic;
-    put_u32 buf (List.length d.d_lines);
-    List.iter
-      (fun line ->
-        put_u32 buf (String.length line);
-        Buffer.add_string buf line)
-      d.d_lines;
-    put_u32 buf (List.length d.d_checkpoints);
-    List.iter
-      (fun (upto, root) ->
-        put_u32 buf upto;
-        Buffer.add_bytes buf root)
-      d.d_checkpoints;
-    Buffer.add_bytes buf d.d_head;
-    Buffer.to_bytes buf
-
   let tamper kind blob =
-    let d =
+    let lines, head =
       match decode blob with
       | Ok d -> d
       | Error e -> invalid_arg ("Obs.Log.tamper: " ^ e)
     in
-    let n = List.length d.d_lines in
+    let n = List.length lines in
     match kind with
     | Truncate ->
         if n < 1 then invalid_arg "Obs.Log.tamper: nothing to truncate";
-        reencode
-          { d with d_lines = List.filteri (fun i _ -> i < n - 1) d.d_lines }
+        frame (List.filteri (fun i _ -> i < n - 1) lines) head
     | Splice ->
         if n < 2 then invalid_arg "Obs.Log.tamper: too short to splice";
         let i = n / 2 in
-        let arr = Array.of_list d.d_lines in
+        let arr = Array.of_list lines in
         let tmp = arr.(i - 1) in
         arr.(i - 1) <- arr.(i);
         arr.(i) <- tmp;
-        reencode { d with d_lines = Array.to_list arr }
+        frame (Array.to_list arr) head
     | Bit_flip i ->
         if n < 1 then invalid_arg "Obs.Log.tamper: no records to flip";
-        let blob = Bytes.copy blob in
-        (* Restrict the flip to the framed record region so the blob
-           still parses: the chain, not the parser, must catch it. *)
-        let start = String.length magic + 4 in
-        let region =
-          List.fold_left (fun a l -> a + 4 + String.length l) 0 d.d_lines
+        (* Flip a bit of some record's payload, never of its length
+           prefix, so the blob still parses: the chain, not the parser,
+           must catch it. *)
+        let bits =
+          8 * List.fold_left (fun a l -> a + String.length l) 0 lines
         in
-        let bit = ((i mod (region * 8)) + (region * 8)) mod (region * 8) in
-        let byte = start + (bit / 8) in
-        Bytes.set blob byte
-          (Char.chr (Char.code (Bytes.get blob byte) lxor (1 lsl (bit mod 8))));
-        blob
+        let bit = ((i mod bits) + bits) mod bits in
+        let rec flip off = function
+          | [] -> []
+          | line :: rest when off >= String.length line ->
+              line :: flip (off - String.length line) rest
+          | line :: rest ->
+              let b = Bytes.of_string line in
+              Bytes.set_uint8 b off
+                (Bytes.get_uint8 b off lxor (1 lsl (bit mod 8)));
+              Bytes.to_string b :: rest
+        in
+        frame (flip (bit / 8) lines) head
 end
 
 module Slo = struct
-  type spec = {
-    window : int;
-    shed_permille_max : int;
-    p99_settle_max : int;
-    quarantine_max : int;
-    abort_permille_max : int;
-  }
-
-  let default_spec =
-    {
-      window = 64;
-      shed_permille_max = 500;
-      p99_settle_max = 64;
-      quarantine_max = 2;
-      abort_permille_max = 350;
-    }
+  let window = 64
+  let shed_permille_max = 500
+  let p99_settle_max = 64
+  let quarantine_max = 2
+  let abort_permille_max = 350
 
   type indicator = {
     name : string;
@@ -483,10 +355,10 @@ module Slo = struct
     let n = Array.length sorted in
     if n = 0 then 0 else sorted.(max 0 (((p * n) + 99) / 100 - 1))
 
-  let evaluate ?(spec = default_spec) log =
+  let evaluate log =
     let buckets : (int, bucket) Hashtbl.t = Hashtbl.create 16 in
     let bucket at =
-      let w = at / spec.window in
+      let w = at / window in
       match Hashtbl.find_opt buckets w with
       | Some b -> b
       | None ->
@@ -524,7 +396,7 @@ module Slo = struct
       List.concat_map
         (fun w ->
           let b = Hashtbl.find buckets w in
-          let start = w * spec.window in
+          let start = w * window in
           let shed_permille =
             if b.arrivals = 0 then 0 else b.sheds * 1000 / b.arrivals
           in
@@ -536,22 +408,22 @@ module Slo = struct
               name = "p99-settle";
               window_start = start;
               value = p99;
-              threshold = spec.p99_settle_max;
-              breached = p99 > spec.p99_settle_max;
+              threshold = p99_settle_max;
+              breached = p99 > p99_settle_max;
             };
             {
               name = "quarantines";
               window_start = start;
               value = b.quarantines;
-              threshold = spec.quarantine_max;
-              breached = b.quarantines > spec.quarantine_max;
+              threshold = quarantine_max;
+              breached = b.quarantines > quarantine_max;
             };
             {
               name = "shed-rate";
               window_start = start;
               value = shed_permille;
-              threshold = spec.shed_permille_max;
-              breached = shed_permille > spec.shed_permille_max;
+              threshold = shed_permille_max;
+              breached = shed_permille > shed_permille_max;
             };
           ])
         windows
@@ -566,15 +438,15 @@ module Slo = struct
             name = "ota-abort-rate";
             window_start = 0;
             value = permille;
-            threshold = spec.abort_permille_max;
-            breached = permille > spec.abort_permille_max;
+            threshold = abort_permille_max;
+            breached = permille > abort_permille_max;
           };
         ]
     in
     per_window @ run_level
 
-  let scan ?(spec = default_spec) log =
-    let indicators = evaluate ~spec log in
+  let scan log =
+    let indicators = evaluate log in
     let last_at =
       List.fold_left (fun a (r : record) -> max a r.at) 0 (Log.records log)
     in
@@ -582,7 +454,7 @@ module Slo = struct
       (fun i ->
         if i.breached then
           Log.record log ~corr:"slo"
-            ~at:(max last_at (i.window_start + spec.window - 1))
+            ~at:(max last_at (i.window_start + window - 1))
             (Event.Slo_breach
                {
                  indicator = i.name;

@@ -1,7 +1,6 @@
 (** The fleet flight recorder: a typed, append-only event log with
-    causal correlation ids, a tamper-evident SHA-256 hash chain with
-    periodic Merkle checkpoints, windowed SLO indicators, and causal
-    trail reconstruction.
+    causal correlation ids, a tamper-evident SHA-256 hash chain,
+    windowed SLO indicators, and causal trail reconstruction.
 
     Every fleet engine (gateway sessions, OTA waves, swarm epochs)
     records what happened to whom under a {e correlation id}; ids are
@@ -12,12 +11,11 @@
     unobserved one.
 
     Integrity mirrors the attestation story: each appended record
-    extends [head = SHA-256(head ∥ record)], and every
-    [checkpoint_every] records the window is sealed under an RFC-6962
-    Merkle root.  {!Log.export} emits a self-contained binary trail;
-    {!Log.verify_chain} re-derives everything and rejects truncation,
-    splicing, reordering and bit flips — and never raises, whatever
-    bytes it is fed. *)
+    extends [head = SHA-256(head ∥ record)], so the head commits to
+    every record and its order.  {!Log.export} emits a self-contained
+    binary trail; {!Log.verify_chain} re-derives the chain and rejects
+    truncation, splicing, reordering and bit flips — and never raises,
+    whatever bytes it is fed. *)
 
 module Event : sig
   type t =
@@ -68,9 +66,8 @@ type record = {
 module Log : sig
   type t
 
-  val create : ?checkpoint_every:int -> unit -> t
-  (** A fresh log.  Every [checkpoint_every] (default 64) records the
-      window is sealed under a Merkle checkpoint. *)
+  val create : unit -> t
+  (** A fresh log, its chain head at the fixed genesis digest. *)
 
   val mint : t -> ?parent:string -> string -> string
   (** Register a correlation id (idempotent — re-minting keeps the
@@ -92,21 +89,19 @@ module Log : sig
   val parent_of : t -> string -> string option
 
   val export : t -> bytes
-  (** Self-contained binary trail: magic, length-prefixed records,
-      checkpoints (a trailing partial window is sealed too), chain
-      head. *)
+  (** Self-contained binary trail: the [TYOB2] magic, the record
+      count, length-prefixed records, chain head. *)
 
   type chain_summary = {
     total : int;  (** records verified *)
-    checkpoints : int;
     head : string;  (** recomputed chain head, hex *)
   }
 
   val verify_chain :
     ?expected_head:string -> bytes -> (chain_summary, string) result
-  (** Structurally decode an exported trail and re-derive the hash
-      chain, every checkpoint root and the sequence numbering; [Error]
-      names the first divergence.  Never raises.  With
+  (** Structurally decode an exported trail, check the sequence
+      numbering, then re-derive the hash chain; [Error] names the first
+      divergence.  Never raises.  With
       [?expected_head] the recomputed head must also match the
       operator's out-of-band copy (an attacker who re-hashes a forged
       trail end to end is only caught by this pin). *)
@@ -114,7 +109,11 @@ module Log : sig
   type tamper =
     | Truncate  (** drop the last record, keeping trailer intact *)
     | Splice  (** swap two adjacent records mid-log *)
-    | Bit_flip of int  (** flip one bit inside the record region *)
+    | Bit_flip of int
+        (** flip the record-payload bit the argument picks (modulo the
+            payload bits); length prefixes stay intact, so the trail
+            still decodes and the sequence or head check, not the
+            decoder, must catch the flip *)
 
   val tamper : tamper -> bytes -> bytes
   (** Inject a seeded fault into an exported trail (for tests and
@@ -123,16 +122,6 @@ module Log : sig
 end
 
 module Slo : sig
-  type spec = {
-    window : int;  (** slices per indicator window *)
-    shed_permille_max : int;  (** shed / arrivals, per window *)
-    p99_settle_max : int;  (** slices, per window *)
-    quarantine_max : int;  (** quarantine events per window *)
-    abort_permille_max : int;  (** aborted / offered waves, whole run *)
-  }
-
-  val default_spec : spec
-
   type indicator = {
     name : string;
     window_start : int;  (** slice the window opens at; 0 for run-level *)
@@ -141,12 +130,15 @@ module Slo : sig
     breached : bool;
   }
 
-  val evaluate : ?spec:spec -> Log.t -> indicator list
-  (** Fold the event stream into windowed indicators (shed rate, p99
-      settle latency, quarantine count, OTA abort rate), sorted by
-      (window, name).  Pure — the log is not modified. *)
+  val evaluate : Log.t -> indicator list
+  (** Fold the event stream into indicators, sorted by (window, name).
+      Per window of 64 slices: p99 settle latency (breached above 64
+      slices), quarantine count (above 2) and shed rate, shed over
+      arrivals (above 500 permille).  Over the whole run: the OTA abort
+      rate, aborted over offered waves (above 350 permille).  Pure —
+      the log is not modified. *)
 
-  val scan : ?spec:spec -> Log.t -> indicator list
+  val scan : Log.t -> indicator list
   (** {!evaluate}, then append an {!Event.Slo_breach} record (corr
       ["slo"]) for every breached indicator, in order. *)
 end
@@ -176,5 +168,5 @@ val marks_of_log : Log.t -> Tytan_telemetry.Export.mark list
 
 val to_json : ?slo:Slo.indicator list -> Log.t -> string
 (** The [tytan audit --json] payload: chain metadata (record count,
-    head, checkpoints), the correlation registry, every record, and
-    the SLO verdicts.  Byte-deterministic for a given log. *)
+    head), the correlation registry, every record, and the SLO
+    verdicts.  Byte-deterministic for a given log. *)

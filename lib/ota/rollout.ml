@@ -5,7 +5,6 @@ module Cycles = Tytan_machine.Cycles
 module Devices = Tytan_machine.Devices
 module Telf = Tytan_telf.Telf
 module Fault_plan = Tytan_fault.Fault_plan
-module Telemetry = Tytan_telemetry.Telemetry
 module Obs = Tytan_obs.Obs
 
 type wave_spec = {
@@ -342,20 +341,9 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
     waves;
   let controller_clock = Cycles.create () in
   let device_clock = Cycles.create () in
-  (* Observation must not perturb the run: zero costs, so enabling
-     telemetry leaves every clock bit-identical (the chaos campaign's
-     discipline).  Likewise the flight recorder charges nothing. *)
-  let telemetry =
-    Telemetry.create ~per_event_cost:0 ~per_span_cost:0 controller_clock
-  in
-  Telemetry.enable telemetry;
-  let tally name n =
-    for _ = 1 to n do
-      Telemetry.incr telemetry ~component:"ota" name
-    done
-  in
   (* The campaign's global slice offset: per-phase loops restart their
-     local clock at 0, so flight-recorder timestamps add this base. *)
+     local clock at 0, so flight-recorder timestamps add this base.  The
+     flight recorder charges nothing. *)
   let obs_at = ref 0 in
   let observe ~corr ~at event =
     match obs with
@@ -706,17 +694,6 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
           observe ~corr:(dev_corr serial) ~at:!obs_at
             (Obs.Event.Quarantined { serial }))
         (List.sort compare !newly_quarantined);
-      tally "offered" (List.length all_sessions);
-      tally "staged" (List.length (List.filter (fun s -> s.opened) all_sessions));
-      tally "applied" (count 'A');
-      tally "refused_rollback" (count 'R');
-      tally "refused_vet" (count 'V');
-      tally "refused_auth" (count 'M');
-      tally "refused_digest" (count 'D');
-      tally "crashed" (count 'X');
-      tally "gave_up" (count 'G');
-      tally (if gate_passed then "waves_promoted" else "waves_aborted") 1;
-      tally "quarantines" (List.length !newly_quarantined);
       stats :=
         {
           wave = wave_idx;
@@ -746,13 +723,15 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
         :: !stats)
     waves;
   let sum f = Array.fold_left (fun n d -> n + f d) 0 fleet in
+  let waves = List.rev !stats in
+  let tally f = List.fold_left (fun n w -> n + f w) 0 waves in
   {
     devices;
     canary;
     seed;
     faults;
     loss_percent;
-    waves = List.rev !stats;
+    waves;
     counters =
       Array.to_list (Array.map (fun d -> Installer.counter_value d.installer) fleet);
     reset_attempts = sum (fun d -> Installer.reset_attempts d.installer);
@@ -773,9 +752,22 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
       |> List.map (fun d -> d.serial)
       |> List.sort compare;
     telemetry =
-      List.map
-        (fun (k, v) -> (Telemetry.key_to_string k, v))
-        (Telemetry.counters telemetry);
+      List.filter
+        (fun (_, n) -> n > 0)
+        [
+          ("ota.applied", tally (fun w -> w.applied));
+          ("ota.crashed", tally (fun w -> w.crashed));
+          ("ota.gave_up", tally (fun w -> w.gave_up));
+          ("ota.offered", tally (fun w -> w.offered));
+          ("ota.quarantines", tally (fun w -> List.length w.newly_quarantined));
+          ("ota.refused_auth", tally (fun w -> w.refused_auth));
+          ("ota.refused_digest", tally (fun w -> w.refused_digest));
+          ("ota.refused_rollback", tally (fun w -> w.refused_rollback));
+          ("ota.refused_vet", tally (fun w -> w.refused_vet));
+          ("ota.staged", tally (fun w -> w.staged));
+          ("ota.waves_aborted", tally (fun w -> Bool.to_int w.aborted));
+          ("ota.waves_promoted", tally (fun w -> Bool.to_int w.promoted));
+        ];
     survived = !survived;
   }
 

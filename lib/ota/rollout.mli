@@ -86,9 +86,9 @@ type report = {
   truncated_frames : int;  (** frames bitten by [Frame_truncate] faults *)
   quarantined : string list;
   telemetry : (string * int) list;
-      (** counter snapshot (offers, stages, verdict tallies, wave gate
-          outcomes), sorted by key.  Collection is zero-cost: clocks are
-          bit-identical with telemetry on or off. *)
+      (** the [waves] tallies summed over the run as [ota.*] rows
+          (offers, stages, verdicts, gate outcomes, quarantines), sorted
+          by key, zero counts left out *)
   survived : bool;
       (** no device was lost to crash/unreachability on a fault-free
           run; legitimate refusals (rollback, vet) do not count

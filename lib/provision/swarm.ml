@@ -7,7 +7,6 @@ module Telf = Tytan_telf.Telf
 module Tycheck = Tytan_analysis.Tycheck
 module Finding = Tytan_analysis.Finding
 module Fault_plan = Tytan_fault.Fault_plan
-module Telemetry = Tytan_telemetry.Telemetry
 module Obs = Tytan_obs.Obs
 
 type mode =
@@ -178,16 +177,9 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
          it, whatever the verdict turns out to be. *)
       Cycles.charge device_clock (r.vet_cycles_per_device * devices)
   | None -> ());
-  (* Observation must not perturb the run: costs are zeroed (the chaos
-     campaign's discipline) so enabling telemetry leaves every clock
-     bit-identical. *)
-  let telemetry =
-    Telemetry.create ~per_event_cost:0 ~per_span_cost:0 verifier_clock
-  in
-  Telemetry.enable telemetry;
   (* Flight-recorder plumbing: epoch loops restart their local slice
-     clock at 0, so recorded timestamps add this global base.  Like
-     telemetry, recording charges nothing. *)
+     clock at 0, so recorded timestamps add this global base.  Recording
+     charges nothing. *)
   let obs_at = ref 0 in
   let observe ~corr ~at event =
     match obs with
@@ -290,8 +282,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
         Some
           (Aggregator.create
              ~ka_of:(fun ~serial -> Registry.attestation_key registry ~serial)
-             ~clock:verifier_clock ~telemetry ~kind:Aggregator.Retain
-             ~shards:domains ())
+             ~clock:verifier_clock ~kind:Aggregator.Retain ~shards:domains ())
   in
   (match aggregator with
   | Some a when obs <> None ->
@@ -665,8 +656,6 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     in
     merge_worker_clocks ();
     let verify_cycles = Cycles.now verifier_clock - cycles0 in
-    Telemetry.observe telemetry ~component:"swarm" "epoch_verify_cycles"
-      verify_cycles;
     let count c = String.fold_left (fun n ch -> if ch = c then n + 1 else n) 0 in
     stats :=
       {
@@ -724,9 +713,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     key_derivations =
       (match aggregator with Some a -> Aggregator.key_derivations a | None -> 0);
     telemetry =
-      List.map
-        (fun (k, v) -> (Telemetry.key_to_string k, v))
-        (Telemetry.counters telemetry);
+      (match aggregator with Some a -> Aggregator.counters a | None -> []);
     survived = !survived;
   }
 

@@ -125,7 +125,9 @@ type report = {
   tampered : int;
   silenced : int;
   key_derivations : int;
-  telemetry : (string * int) list;  (** counter snapshot, sorted *)
+  telemetry : (string * int) list;
+      (** the aggregator's {!Tytan_netsim.Aggregator.counters}; empty in
+          scalar mode *)
   survived : bool;
       (** every device that was honest in an epoch attested (or was
           carried) in it *)

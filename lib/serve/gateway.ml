@@ -3,7 +3,6 @@ open Tytan_netsim
 module Crypto = Tytan_crypto
 module Cycles = Tytan_machine.Cycles
 module Fault_plan = Tytan_fault.Fault_plan
-module Telemetry = Tytan_telemetry.Telemetry
 module Registry = Tytan_provision.Registry
 module Fleet = Tytan_provision.Fleet
 module Obs = Tytan_obs.Obs
@@ -130,7 +129,6 @@ type t = {
   by_seq : (string * int, session) Hashtbl.t;  (* live-session demux *)
   clock : Cycles.t;  (* verifier side *)
   device_clock : Cycles.t;
-  telemetry : Telemetry.t;
   aggregator : Aggregator.t;
   obs : Obs.Log.t option;
   mutable obs_epoch : int;  (* last epoch an Epoch_opened was recorded for *)
@@ -208,11 +206,6 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
   let fw_id = Task_id.of_image image in
   let clock = Cycles.create () in
   let device_clock = Cycles.create () in
-  (* Observation must not perturb the run: zero costs, so enabling
-     telemetry leaves every clock bit-identical (the chaos campaign's
-     discipline). *)
-  let telemetry = Telemetry.create ~per_event_cost:0 ~per_span_cost:0 clock in
-  Telemetry.enable telemetry;
   let corrupt_percent = if faults then 3 else 0 in
   let index_of = Hashtbl.create (devices * 2) in
   let genesis =
@@ -249,7 +242,7 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
   let aggregator =
     Aggregator.create
       ~ka_of:(fun ~serial -> Registry.attestation_key registry ~serial)
-      ~clock ~telemetry ()
+      ~clock ()
   in
   (* Epoch-seal events ride the aggregator's observer hook: the sealed
      batch lands under the corr id of the epoch that collected it. *)
@@ -277,7 +270,6 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
     by_seq = Hashtbl.create 1024;
     clock;
     device_clock;
-    telemetry;
     aggregator;
     obs;
     obs_epoch = -1;
@@ -461,7 +453,6 @@ let evict_lru t =
   | Some (serial, _) ->
       Hashtbl.remove t.store serial;
       t.evictions <- t.evictions + 1;
-      Telemetry.incr t.telemetry ~component:"serve" "evictions";
       if t.obs <> None then
         observe t ~corr:(epoch_corr t) (Obs.Event.Evicted { serial })
   | None -> ()
@@ -542,8 +533,6 @@ let shed_arrival t ~serial refusal =
   | Busy -> t.shed_busy <- t.shed_busy + 1
   | Rate_limited -> t.shed_rate_limited <- t.shed_rate_limited + 1
   | Quarantined -> t.shed_quarantined <- t.shed_quarantined + 1);
-  Telemetry.incr t.telemetry ~component:"serve"
-    ("shed_" ^ refusal_label refusal);
   if t.obs <> None then
     observe t ~corr:(epoch_corr t)
       (Obs.Event.Session_shed { serial; reason = refusal_label refusal });
@@ -602,7 +591,6 @@ let settle t (s : session) ~verdict =
   Hashtbl.remove t.by_seq (s.s_serial, Verifier.seq s.verifier);
   let latency = t.now - s.admitted_at in
   t.latencies <- latency :: t.latencies;
-  Telemetry.observe t.telemetry ~component:"serve" "session_slices" latency;
   observe t ~corr:s.s_corr
     (Obs.Event.Session_settled
        { serial = s.s_serial; verdict = verdict_label verdict; latency });
@@ -612,18 +600,10 @@ let settle t (s : session) ~verdict =
   | Some c -> schedule c ~due:(t.now + c.think) s.s_device
   | None -> ());
   (match verdict with
-  | V_attested ->
-      t.attested <- t.attested + 1;
-      Telemetry.incr t.telemetry ~component:"serve" "attested"
-  | V_refused ->
-      t.refused <- t.refused + 1;
-      Telemetry.incr t.telemetry ~component:"serve" "refused"
-  | V_timed_out ->
-      t.timed_out <- t.timed_out + 1;
-      Telemetry.incr t.telemetry ~component:"serve" "timed_out"
-  | V_cfa_rejected ->
-      t.cfa_rejected <- t.cfa_rejected + 1;
-      Telemetry.incr t.telemetry ~component:"serve" "cfa_rejected");
+  | V_attested -> t.attested <- t.attested + 1
+  | V_refused -> t.refused <- t.refused + 1
+  | V_timed_out -> t.timed_out <- t.timed_out + 1
+  | V_cfa_rejected -> t.cfa_rejected <- t.cfa_rejected + 1);
   match Hashtbl.find_opt t.store s.s_serial with
   | None -> ()  (* evicted mid-session; the breaker state went with it *)
   | Some st ->
@@ -642,7 +622,6 @@ let settle t (s : session) ~verdict =
           t.quarantine_trips <- t.quarantine_trips + 1;
           if not (List.mem s.s_serial t.quarantined_serials) then
             t.quarantined_serials <- s.s_serial :: t.quarantined_serials;
-          Telemetry.incr t.telemetry ~component:"serve" "quarantines";
           observe t ~corr:s.s_corr
             (Obs.Event.Breaker_tripped { serial = s.s_serial });
           observe t ~corr:s.s_corr
@@ -670,19 +649,11 @@ let seq_of = function
 let route t (p : prover) frame =
   match Protocol.decode frame with
   | Error e ->
-      if Protocol.is_unknown_tag e then begin
-        t.unknown <- t.unknown + 1;
-        Telemetry.incr t.telemetry ~component:"serve" "unknown_frames"
-      end
-      else begin
-        t.malformed <- t.malformed + 1;
-        Telemetry.incr t.telemetry ~component:"serve" "malformed_frames"
-      end
+      if Protocol.is_unknown_tag e then t.unknown <- t.unknown + 1
+      else t.malformed <- t.malformed + 1
   | Ok msg -> (
       match Hashtbl.find_opt t.by_seq (p.serial, seq_of msg) with
-      | None ->
-          t.stale <- t.stale + 1;
-          Telemetry.incr t.telemetry ~component:"serve" "stale_frames"
+      | None -> t.stale <- t.stale + 1
       | Some s ->
           observe t ~corr:s.s_corr
             (Obs.Event.Frame_received { kind = frame_kind msg });
@@ -815,9 +786,6 @@ let step t =
     t.inflight;
   t.inflight <- List.rev !still;
   t.inflight_n <- List.length t.inflight;
-  Telemetry.set_gauge t.telemetry ~component:"serve" "queue_depth"
-    (Queue.length t.pending_q);
-  Telemetry.set_gauge t.telemetry ~component:"serve" "inflight" t.inflight_n;
   t.now <- at + 1
 
 (* ---- reports ---------------------------------------------------------- *)
@@ -869,9 +837,8 @@ type report = {
 let shed r = r.shed_busy + r.shed_rate_limited + r.shed_quarantined
 let settled r = r.attested + r.refused + r.timed_out + r.cfa_rejected
 
-(* Nearest-rank percentile over the exact latency population — not the
-   log-bucketed telemetry histogram, so the p99 row in the bench table
-   is sharp. *)
+(* Nearest-rank percentile over the exact latency population, so the
+   p99 row in the bench table is sharp. *)
 let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then 0 else sorted.(max 0 (((p * n) + 99) / 100 - 1))
@@ -932,9 +899,23 @@ let report_of t ~load_slices ~arrival_permille ~think =
     link = sum_links t.provers;
     fault_counts = List.sort compare t.fault_counts;
     telemetry =
-      List.map
-        (fun (k, v) -> (Telemetry.key_to_string k, v))
-        (Telemetry.counters t.telemetry);
+      List.filter
+        (fun (_, n) -> n > 0)
+        [
+          ("serve.attested", t.attested);
+          ("serve.cfa_rejected", t.cfa_rejected);
+          ("serve.evictions", t.evictions);
+          ("serve.malformed_frames", t.malformed);
+          ("serve.quarantines", t.quarantine_trips);
+          ("serve.refused", t.refused);
+          ("serve.shed_busy", t.shed_busy);
+          ("serve.shed_quarantined", t.shed_quarantined);
+          ("serve.shed_rate-limited", t.shed_rate_limited);
+          ("serve.stale_frames", t.stale);
+          ("serve.timed_out", t.timed_out);
+          ("serve.unknown_frames", t.unknown);
+        ]
+      @ Aggregator.counters t.aggregator;
   }
 
 let run ?(config = default_config) ?(faults = false) ?(loss_percent = 10)

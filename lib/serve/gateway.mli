@@ -185,7 +185,11 @@ type report = {
   device_cycles : int;
   link : (string * int) list;  (** summed link counters, fixed order *)
   fault_counts : (string * int) list;  (** applied gateway faults, sorted *)
-  telemetry : (string * int) list;  (** counter snapshot, sorted *)
+  telemetry : (string * int) list;
+      (** the verdict, shed, eviction, quarantine-trip and frame counts
+          above as [serve.*] rows, then the aggregator's
+          {!Tytan_netsim.Aggregator.counters}; sorted by key, zero counts
+          left out *)
 }
 
 val shed : report -> int

@@ -1,8 +1,8 @@
-(* The fleet flight recorder: chain integrity (hash chain + Merkle
-   checkpoints + seeded tamper detection), causal trails, SLO windows,
-   Perfetto flow derivation, and the recorder's integration with the
-   gateway, rollout and swarm engines — including the zero-cost
-   contract (an observed run is bit-identical to an unobserved one). *)
+(* The fleet flight recorder: chain integrity (hash chain + seeded
+   tamper detection), causal trails, SLO windows, Perfetto flow
+   derivation, and the recorder's integration with the gateway,
+   rollout and swarm engines — including the zero-cost contract (an
+   observed run is bit-identical to an unobserved one). *)
 
 module Obs = Tytan_obs.Obs
 module Gateway = Tytan_serve.Gateway
@@ -16,7 +16,7 @@ let to_alcotest = QCheck_alcotest.to_alcotest
 (* --- helpers --------------------------------------------------------------- *)
 
 let sample_log ?(n = 10) () =
-  let log = Obs.Log.create ~checkpoint_every:4 () in
+  let log = Obs.Log.create () in
   ignore (Obs.Log.mint log "epoch-0");
   for i = 0 to n - 1 do
     let corr = Printf.sprintf "dev-%02d/s" i in
@@ -62,8 +62,7 @@ let test_chain_roundtrip () =
   match Obs.Log.verify_chain ~expected_head:(Obs.Log.head_hex log) trail with
   | Ok s ->
       Alcotest.(check int) "records" (Obs.Log.length log) s.Obs.Log.total;
-      Alcotest.(check string) "head" (Obs.Log.head_hex log) s.Obs.Log.head;
-      Alcotest.(check bool) "checkpoints sealed" true (s.Obs.Log.checkpoints > 0)
+      Alcotest.(check string) "head" (Obs.Log.head_hex log) s.Obs.Log.head
   | Error e -> Alcotest.failf "clean trail rejected: %s" e
 
 let test_chain_detects_tampers () =
@@ -98,10 +97,21 @@ let test_garbage_rejected () =
       | Error _ -> ())
     [
       Bytes.empty;
-      Bytes.of_string "TYOB1";
+      Bytes.of_string "TYOB2";
       Bytes.of_string "not a trail at all";
       Bytes.make 64 '\xff';
     ]
+
+(* A trail under an older tag has another layout: the magic check must
+   refuse it before any of it is parsed. *)
+let test_old_tag_refused () =
+  let trail = Obs.Log.export (sample_log ()) in
+  Bytes.blit_string "TYOB1" 0 trail 0 5;
+  match Obs.Log.verify_chain trail with
+  | Ok _ -> Alcotest.fail "TYOB1 trail verified"
+  | Error e ->
+      Alcotest.(check string) "refused by the magic check"
+        "bad magic: not an obs trail" e
 
 let test_mint_idempotent () =
   let log = Obs.Log.create () in
@@ -156,6 +166,19 @@ let chain_props =
         with
         | Ok _ -> false
         | Error _ -> true);
+    QCheck.Test.make ~name:"bit flip is caught by the chain, not the decoder"
+      ~count:300
+      QCheck.(pair (make log_sizes) int)
+      (fun (n, bit) ->
+        QCheck.assume (n > 0);
+        let trail = Obs.Log.export (sample_log ~n ()) in
+        match
+          Obs.Log.verify_chain (Obs.Log.tamper (Obs.Log.Bit_flip bit) trail)
+        with
+        | Error "sequence numbering broken (splice?)"
+        | Error "chain head mismatch: a record was altered or reordered" ->
+            true
+        | Ok _ | Error _ -> false);
   ]
 
 (* --- trails ---------------------------------------------------------------- *)
@@ -347,6 +370,7 @@ let () =
             test_chain_detects_tampers;
           Alcotest.test_case "expected-head pin" `Quick test_expected_head_pin;
           Alcotest.test_case "garbage rejected" `Quick test_garbage_rejected;
+          Alcotest.test_case "old trail tag refused" `Quick test_old_tag_refused;
           Alcotest.test_case "mint is idempotent" `Quick test_mint_idempotent;
         ] );
       ("chain-properties", List.map to_alcotest chain_props);

@@ -62,11 +62,12 @@ let swarm_cases =
     [ Swarm.Scalar; Swarm.Incremental ]
 
 let gateway_cases =
-  let run ?arrival ?(faults = false) ~devices ~slices ~rate ~seed () =
+  let run ?arrival ?(faults = false) ?loss_percent ~devices ~slices ~rate ~seed
+      () =
     digest_line
       (Gateway.to_string
-         (Gateway.run ?arrival ~faults ~devices ~slices ~arrival_permille:rate
-            ~seed ()))
+         (Gateway.run ?arrival ~faults ?loss_percent ~devices ~slices
+            ~arrival_permille:rate ~seed ()))
   in
   [
     ( "gateway/open-loop",
@@ -78,6 +79,17 @@ let gateway_cases =
           ~devices:32 ~slices:160 ~rate:0 ~seed:2 () );
     ( "gateway/faults",
       fun () -> run ~faults:true ~devices:64 ~slices:200 ~rate:8000 ~seed:3 () );
+    (* A store 512 deep under 600 devices at 30 arrivals per slice: LRU
+       evictions, busy sheds, refusals and malformed and unknown frames
+       in one report. *)
+    ( "gateway/overload-evict",
+      fun () ->
+        run ~faults:true ~devices:600 ~slices:150 ~rate:30000 ~seed:5 () );
+    (* 60% loss trips the breaker: quarantines and quarantine sheds. *)
+    ( "gateway/breaker-loss-60",
+      fun () ->
+        run ~faults:true ~loss_percent:60 ~devices:32 ~slices:300 ~rate:16000
+          ~seed:9 () );
   ]
 
 let platform_key_of ~serial =
@@ -91,10 +103,10 @@ let clean_wave v =
   }
 
 let rollout_cases =
-  let run ?(faults = false) ~seed waves () =
+  let run ?(faults = false) ?(devices = 24) ?(canary = 4) ~seed waves () =
     digest_line
       (Rollout.to_string
-         (Rollout.run ~devices:24 ~canary:4 ~seed ~faults ~platform_key_of
+         (Rollout.run ~devices ~canary ~seed ~faults ~platform_key_of
             ~incumbent:(Tasks.counter ()) waves))
   in
   let stale =
@@ -116,6 +128,11 @@ let rollout_cases =
       run ~seed:2 [ clean_wave 1; clean_wave 2; stale; leaky ] );
     ( "rollout/faults",
       run ~faults:true ~seed:5 [ clean_wave 1; clean_wave 2; clean_wave 3 ] );
+    (* Faults under a stale and a leaky wave: a give-up, a crash, all four
+       refusal kinds and quarantines in one report. *)
+    ( "rollout/faults-stale-leaky",
+      run ~faults:true ~devices:16 ~canary:2 ~seed:7
+        [ clean_wave 1; clean_wave 2; stale; leaky ] );
   ]
 
 (* The use case as the benchmark's platform workload runs it at full
@@ -194,9 +211,12 @@ let pins =
     ("gateway/open-loop", "digest: sha1:fa610d5bf0dc7c82565dd7824fba980e0a53edba");
     ("gateway/closed-loop", "digest: sha1:bfc46eca951a3433de1ee5bb7324df428d1e54e3");
     ("gateway/faults", "digest: sha1:c524877614a9b024e7f7c2e3de3bf8867c51d0d6");
+    ("gateway/overload-evict", "digest: sha1:d1c6f301023b981021dc1bede83ec02234875a9d");
+    ("gateway/breaker-loss-60", "digest: sha1:03bb67165808569c06a7e60e059829b99be18cea");
     ("rollout/clean", "digest: sha1:4a2f6e489890af62e552524ca1bb007766a253ab");
     ("rollout/stale-leaky", "digest: sha1:c8b5a20ee5fe10a91694d742c443830776584f18");
     ("rollout/faults", "digest: sha1:ba1c90e41d56e2c8a7b1a3aa523abb2a708b646f");
+    ("rollout/faults-stale-leaky", "digest: sha1:cec7e2d770b34fb264923bbb0033e80d89ec618a");
     ( "platform/table1",
       "instructions=1135859 cycles=4119529 context_switches=982 | idle=2247202 \
        svc-loader=239370 t0-engine=52702 t1-pedal=98555 t2-radar=30155 \
