@@ -19,7 +19,9 @@ type verdict = {
 val vet : Telf.t -> verdict
 (** Run the six-check [Tycheck.flow_config] analysis.  Pure function of
     the binary — a refusal is platform-wide.  The caller charges
-    [vet_cycles] to whichever clock did the work. *)
+    [vet_cycles] to whichever clock did the work.  {!Installer} relies
+    on this purity: it reuses one verdict for every device that stages
+    the same bytes, so [vet] must stay free of hidden state. *)
 
 val version_ok : counter:int -> version:int -> bool
 (** The anti-rollback gate: an offer is fresh iff its authenticated

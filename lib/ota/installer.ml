@@ -153,6 +153,37 @@ let conclude t (tr : transfer) ack =
   t.concluded <- Some (tr.seq, ack);
   ack
 
+(* The decode, identity and vet verdict of staged bytes depend on the
+   bytes alone, and a rollout wave stages one payload on every device:
+   each domain keeps its last analysis, keyed by a copy of the exact
+   bytes.  Never key on a digest: a SHA-1 collision must not hand one
+   image another's verdict.  The verdict stays lazy, so an identity
+   mismatch never runs the vet.  What the device pays stays in
+   [finalize]. *)
+type analysis =
+  | Undecodable
+  | Decoded of { id : Task_id.t; verdict : Gate.verdict Lazy.t }
+
+let last_analysis : (bytes * analysis) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let analyse buf =
+  match Domain.DLS.get last_analysis with
+  | Some (seen, a) when Bytes.equal seen buf -> a
+  | _ ->
+      let a =
+        match Telf.decode buf with
+        | Error _ -> Undecodable
+        | Ok telf ->
+            Decoded
+              {
+                id = Task_id.of_image telf.Telf.image;
+                verdict = lazy (Gate.vet telf);
+              }
+      in
+      Domain.DLS.set last_analysis (Some (Bytes.copy buf, a));
+      a
+
 let finalize t (tr : transfer) =
   t.transfer <- None;
   let actual = charged t (fun () -> Crypto.Sha1.digest tr.buf) in
@@ -163,14 +194,14 @@ let finalize t (tr : transfer) =
          { seq = tr.seq; status = Protocol.Ota_refused_digest; arg = 0 })
   end
   else
-    match Telf.decode tr.buf with
-    | Error _ ->
+    match analyse tr.buf with
+    | Undecodable ->
         t.digest_refusals <- t.digest_refusals + 1;
         conclude t tr
           (Protocol.UpdateAck
              { seq = tr.seq; status = Protocol.Ota_refused_digest; arg = 0 })
-    | Ok telf ->
-        if not (Task_id.equal (Task_id.of_image telf.Telf.image) tr.id) then begin
+    | Decoded { id; verdict } ->
+        if not (Task_id.equal id tr.id) then begin
           (* The digest was genuine but the image inside is not the one
              the authority signed for — authenticated-identity mismatch. *)
           t.auth_refusals <- t.auth_refusals + 1;
@@ -179,7 +210,7 @@ let finalize t (tr : transfer) =
                { seq = tr.seq; status = Protocol.Ota_refused_auth; arg = 0 })
         end
         else
-          let verdict = Gate.vet telf in
+          let verdict = Lazy.force verdict in
           Cycles.charge t.clock verdict.Gate.vet_cycles;
           if not verdict.Gate.accepted then begin
             t.vet_refusals <- t.vet_refusals + 1;

@@ -24,7 +24,15 @@
     challenges for whatever it currently runs, so post-swap attestation
     needs no second agent.  All crypto is charged to the device clock by
     compression count; counter traffic at the
-    {!Tytan_core.Cost_model.counter_read}/[counter_increment] rates. *)
+    {!Tytan_core.Cost_model.counter_read}/[counter_increment] rates.
+
+    The TELF decode, the identity and the {!Gate.vet} verdict are
+    functions of the staged bytes alone, so the host computes them once
+    per distinct image per domain: each domain remembers its last
+    analysis, keyed by a copy of the exact bytes (never by a digest).
+    What a device pays and records stays per device — the charged
+    digest check, [vet_cycles], the refusal counters, the crash window
+    and the counter advance. *)
 
 open Tytan_core
 open Tytan_machine
@@ -47,7 +55,10 @@ val create :
 val on_frame : t -> bytes -> Tytan_netsim.Protocol.message list
 (** Feed one wire frame; returns the replies to send.  Malformed frames
     are dropped (defensive decode).  A crashed device returns nothing
-    until {!clear_crash}. *)
+    until {!clear_crash}.  The chunk that completes a transfer reuses
+    this domain's last decode, identity and verdict when it staged the
+    same bytes; replies, counters and device cycles are the same
+    whether it does or not. *)
 
 val serial : t -> string
 val loaded : t -> Task_id.t

@@ -620,11 +620,14 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
       let attest_ok_canaries =
         List.length (List.filter snd attest_results)
       in
+      (* An empty cohort (every device quarantined) is no evidence: the
+         wave aborts rather than promote on a vacuous gate. *)
       let gate_passed =
-        canary_applied && List.for_all snd attest_results
+        canaries <> [] && canary_applied && List.for_all snd attest_results
       in
       let abort_reason =
         if gate_passed then None
+        else if canaries = [] then Some "no eligible device"
         else if not canary_applied then
           List.find_opt (fun s -> s.state <> `Done 'A') canary_sessions
           |> Option.map (fun s ->

@@ -18,7 +18,9 @@
     + on success the wave is promoted fleet-wide; on any gate failure
       the wave aborts for the whole fleet and the circuit breaker
       quarantines the offending devices — no non-canary device ever
-      stages a byte of an image a canary could not vouch for.
+      stages a byte of an image a canary could not vouch for.  An empty
+      cohort (every device quarantined) is no evidence: the wave aborts
+      with [abort_reason = Some "no eligible device"].
 
     The breaker treats every offered-but-not-applied device the same
     way: one strike trips it into quarantine ([Q] in the verdict

@@ -214,22 +214,25 @@ let make_installer ?persist ?initial () =
   in
   (clock, inst)
 
-let offer_of ?(seq = 1) ~version telf =
-  let payload = Telf.encode telf in
+(* A genuine offer for [id] whose digest covers [payload], whatever the
+   bytes are. *)
+let signed_offer ~seq ~version ~id payload =
   let size = Bytes.length payload in
   let digest = Sha1.digest payload in
+  Protocol.UpdateOffer
+    {
+      seq;
+      id;
+      version;
+      size;
+      digest;
+      mac = Attestation.update_mac ~ka ~id ~version ~size ~digest;
+    }
+
+let offer_of ?(seq = 1) ~version telf =
+  let payload = Telf.encode telf in
   let id = Task_id.of_image telf.Telf.image in
-  ( Protocol.UpdateOffer
-      {
-        seq;
-        id;
-        version;
-        size;
-        digest;
-        mac = Attestation.update_mac ~ka ~id ~version ~size ~digest;
-      },
-    payload,
-    id )
+  (signed_offer ~seq ~version ~id payload, payload, id)
 
 let feed inst m = Installer.on_frame inst (Protocol.encode m)
 
@@ -424,6 +427,100 @@ let installer_tests =
         with
         | [ Protocol.Refusal _ ] -> ()
         | _ -> Alcotest.fail "expected a refusal for a foreign identity");
+  ]
+
+(* --- The per-domain analysis memo behind finalize ---------------------------- *)
+
+let leaky_image () =
+  Tasks.key_leaker ~receiver:(Task_id.of_image (Bytes.of_string "exfil-sink")) ()
+
+(* One staging: a genuine offer naming [id], then [payload] streamed. *)
+type staging = { offer : Protocol.message; id : Task_id.t; payload : bytes }
+
+let staging_pool =
+  let of_telf telf =
+    let offer, payload, id = offer_of ~version:1 telf in
+    { offer; id; payload }
+  in
+  let signed ~id payload =
+    { offer = signed_offer ~seq:1 ~version:1 ~id payload; id; payload }
+  in
+  let a = Tasks.yielder ~count:2 () and b = Tasks.yielder ~count:5 () in
+  let junk = Bytes.of_string "signed for, but no TELF binary" in
+  [|
+    of_telf a;
+    of_telf (Tasks.yielder ~count:3 ());
+    of_telf b;
+    of_telf (leaky_image ());
+    (* a genuine digest over bytes that do not decode *)
+    signed ~id:(Task_id.of_image junk) junk;
+    (* signed for [a]'s identity, streams [b]'s image *)
+    signed ~id:(Task_id.of_image a.Telf.image) (Telf.encode b);
+  |]
+
+(* The oracle: the checks finalize made before it kept a memo, run fresh
+   on every staging — decode, then identity, then the vet. *)
+let fresh_status s =
+  match Telf.decode s.payload with
+  | Error _ -> Protocol.Ota_refused_digest
+  | Ok telf ->
+      if not (Task_id.equal (Task_id.of_image telf.Telf.image) s.id) then
+        Protocol.Ota_refused_auth
+      else if (Gate.vet telf).Gate.accepted then Protocol.Ota_applied
+      else Protocol.Ota_refused_vet
+
+let memo_tests =
+  (* Device-clock cycles of the first installer to stage each pool entry,
+     across every generated sequence: a memo hit must bill exactly what
+     the miss did. *)
+  let cycles_of = Hashtbl.create 8 in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"memoized finalize agrees with a fresh decode, identity and vet"
+         ~count:100
+         QCheck.(
+           list_of_size
+             Gen.(int_range 1 12)
+             (int_bound (Array.length staging_pool - 1)))
+         (fun picks ->
+           List.iter
+             (fun i ->
+               let s = staging_pool.(i) in
+               let clock, inst = make_installer () in
+               ignore (feed inst s.offer);
+               let status = status_of (stream inst s.payload) in
+               let expected = fresh_status s in
+               if status <> Some expected then
+                 QCheck.Test.fail_reportf "entry %d: status %s, oracle %s" i
+                   (Option.fold ~none:"none" ~some:Protocol.ack_status_label
+                      status)
+                   (Protocol.ack_status_label expected);
+               let counts =
+                 Installer.
+                   [
+                     rollback_refusals inst; auth_refusals inst;
+                     vet_refusals inst; digest_refusals inst;
+                   ]
+               in
+               let one st = Bool.to_int (expected = st) in
+               if
+                 counts
+                 <> [
+                      0; one Protocol.Ota_refused_auth;
+                      one Protocol.Ota_refused_vet;
+                      one Protocol.Ota_refused_digest;
+                    ]
+               then QCheck.Test.fail_reportf "entry %d: refusal counters" i;
+               let cycles = Cycles.now clock in
+               match Hashtbl.find_opt cycles_of i with
+               | None -> Hashtbl.add cycles_of i cycles
+               | Some first when first = cycles -> ()
+               | Some first ->
+                   QCheck.Test.fail_reportf "entry %d: %d cycles, first run %d"
+                     i cycles first)
+             picks;
+           true));
   ]
 
 (* --- Sealed counter persistence across reboot -------------------------------- *)
@@ -671,6 +768,48 @@ let rollout_tests =
         check_bool "promoted" true w.Rollout.promoted;
         check_int "everyone canaried" 6 w.Rollout.offered;
         check_int "everyone re-attested" 6 w.Rollout.attest_ok);
+    Alcotest.test_case "a wave with no eligible device aborts" `Quick
+      (fun () ->
+        (* Two leaky waves quarantine all four devices, two at a time:
+           the last wave's canary cohort is empty. *)
+        let r =
+          run_waves ~devices:4 ~canary:2 ~seed:1
+            [
+              clean_wave 1; wave "leaky" 2 (leaky_image ());
+              wave "leaky" 3 (leaky_image ()); clean_wave 4;
+            ]
+        in
+        let w = List.nth r.Rollout.waves 3 in
+        check_int "nobody offered" 0 w.Rollout.offered;
+        check_bool "aborted, not promoted" true
+          (w.Rollout.aborted && not w.Rollout.promoted);
+        check_bool "abort names the empty cohort" true
+          (w.Rollout.abort_reason = Some "no eligible device");
+        check_int "counted as aborted" 3
+          (List.assoc "ota.waves_aborted" r.Rollout.telemetry);
+        check_int "only the first wave promoted" 1
+          (List.assoc "ota.waves_promoted" r.Rollout.telemetry));
+    Alcotest.test_case "campaigns on two domains match their sequential runs"
+      `Quick (fun () ->
+        (* Each domain's memo sees its own image sequence: clean, leaky,
+           clean, leaky, clean on the spawned domain, leaky, clean,
+           clean, leaky on this one. *)
+        let leaky v = wave "leaky" v (leaky_image ()) in
+        let spawned_waves =
+          [ clean_wave 1; leaky 3; clean_wave 4; leaky 5; clean_wave 6 ]
+        and main_waves = [ leaky 2; clean_wave 3; clean_wave 4; leaky 5 ] in
+        let spawned () =
+          Rollout.to_string
+            (run_waves ~devices:24 ~canary:4 ~seed:4 ~faults:true spawned_waves)
+        and main () = Rollout.to_string (run_waves main_waves) in
+        let want_spawned = spawned () and want_main = main () in
+        for _ = 1 to 5 do
+          let other = Domain.spawn spawned in
+          let mine = main () in
+          let theirs = Domain.join other in
+          Alcotest.(check string) "this domain" want_main mine;
+          Alcotest.(check string) "spawned domain" want_spawned theirs
+        done);
   ]
 
 (* --- One gate for swarm and installer (unification) --------------------------- *)
@@ -741,6 +880,7 @@ let () =
       ("wire format", wire_tests);
       ("wire properties", wire_property_tests);
       ("installer", installer_tests);
+      ("installer memo", memo_tests);
       ("persistence", persistence_tests);
       ("measured activation", apply_tests);
       ("canary rollout", rollout_tests);

@@ -7,7 +7,10 @@
    as they stood before the wake-driven slice loops (DESIGN.md §18).
    Skipping a device only when its visit is a provable no-op must leave
    every one of them byte-identical; any drift means a skipped visit was
-   not a no-op after all.
+   not a no-op after all.  [rollout/faults-leaky-clean-alternate] was
+   recorded from the installer as it stood before its per-domain
+   analysis memo (DESIGN.md §16): reusing a decode and verdict must not
+   move it either.
 
    The platform pin is the instruction, cycle and context-switch count
    and the per-task cycle attribution of the use case, recorded from the
@@ -133,6 +136,15 @@ let rollout_cases =
     ( "rollout/faults-stale-leaky",
       run ~faults:true ~devices:16 ~canary:2 ~seed:7
         [ clean_wave 1; clean_wave 2; stale; leaky ] );
+    (* Clean and leaky images alternate, so each wave's first finalize
+       misses the installer's per-domain analysis memo and the rest hit
+       it: vet, auth and digest refusals and quarantines in one report. *)
+    ( "rollout/faults-leaky-clean-alternate",
+      run ~faults:true ~seed:4
+        [
+          clean_wave 1; leaky; clean_wave 4; { leaky with Rollout.version = 5 };
+          clean_wave 6;
+        ] );
   ]
 
 (* The use case as the benchmark's platform workload runs it at full
@@ -217,6 +229,7 @@ let pins =
     ("rollout/stale-leaky", "digest: sha1:c8b5a20ee5fe10a91694d742c443830776584f18");
     ("rollout/faults", "digest: sha1:ba1c90e41d56e2c8a7b1a3aa523abb2a708b646f");
     ("rollout/faults-stale-leaky", "digest: sha1:cec7e2d770b34fb264923bbb0033e80d89ec618a");
+    ("rollout/faults-leaky-clean-alternate", "digest: sha1:e7f61de13537d3467b9e4aee0541ad6a2da4d43d");
     ( "platform/table1",
       "instructions=1135859 cycles=4119529 context_switches=982 | idle=2247202 \
        svc-loader=239370 t0-engine=52702 t1-pedal=98555 t2-radar=30155 \
