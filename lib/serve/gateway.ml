@@ -81,14 +81,20 @@ type prover = {
 
 (* Gateway-side per-device state, LRU-bounded: the cached Ka, the token
    bucket and the circuit breaker.  Evicting an entry forgets all three
-   — re-admission re-derives the key (and re-charges it). *)
+   — re-admission re-derives the key (and re-charges it).  [older] and
+   [newer] thread the entries on a ring closed by [t.lru], a sentinel:
+   following [newer] from it visits every stored entry once, in
+   ascending [(last_used, serial)]. *)
 type dev_state = {
+  serial : string;
   mutable ka : bytes;
   mutable tokens : int;
   mutable refill_at : int;
   mutable streak : int;
   mutable quarantined_until : int;
   mutable last_used : int;
+  mutable older : dev_state;
+  mutable newer : dev_state;
 }
 
 type session = {
@@ -125,7 +131,8 @@ type t = {
   provers : prover array;
   wired : Link.Wake_set.t;  (* devices with frames in flight on their link *)
   index_of : (string, int) Hashtbl.t;  (* serial -> prover index *)
-  store : (string, dev_state) Hashtbl.t;
+  store : (string, dev_state) Hashtbl.t;  (* serial -> its entry on [lru] *)
+  lru : dev_state;  (* the store ring's sentinel: [newer] is the oldest *)
   by_seq : (string * int, session) Hashtbl.t;  (* live-session demux *)
   clock : Cycles.t;  (* verifier side *)
   device_clock : Cycles.t;
@@ -198,6 +205,14 @@ let network_faults ~seed ~devices ~horizon =
 let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
     ?(loss_percent = 10) ?obs ~devices ~seed () =
   if devices <= 0 then invalid_arg "Gateway.create: devices must be positive";
+  List.iter
+    (fun (field, v) ->
+      if v < 1 then invalid_arg ("Gateway.create: " ^ field ^ " must be positive"))
+    [
+      ("store_capacity", config.store_capacity);
+      ("epoch_slices", config.epoch_slices);
+      ("bucket_refill_slices", config.bucket_refill_slices);
+    ];
   let master =
     Bytes.of_string (Printf.sprintf "serve-master-%08x" (seed land 0xFFFF_FFFF))
   in
@@ -267,6 +282,21 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
     wired = Link.Wake_set.create ~universe:devices;
     index_of;
     store = Hashtbl.create (config.store_capacity * 2);
+    lru =
+      (let rec sentinel =
+         {
+           serial = "";
+           ka = Bytes.empty;
+           tokens = 0;
+           refill_at = 0;
+           streak = 0;
+           quarantined_until = 0;
+           last_used = min_int;
+           older = sentinel;
+           newer = sentinel;
+         }
+       in
+       sentinel);
     by_seq = Hashtbl.create 1024;
     clock;
     device_clock;
@@ -434,28 +464,42 @@ let apply_due_faults t =
 
 (* ---- device-state store (LRU, bounded) -------------------------------- *)
 
+(* Deterministic LRU: the oldest [last_used] goes first, and among equal
+   stamps the smallest serial, compared as a string — never as a device
+   index, whose order [dev-%05d] keeps only below 100000.  The ring holds
+   the entries in that order, so the victim is the sentinel's [newer].
+   Only the three writes below move an entry or its stamp. *)
+
+let unlink st =
+  st.older.newer <- st.newer;
+  st.newer.older <- st.older
+
+(* Link [st], just stamped [t.now], at its place in the order.  Every
+   other entry was stamped no later, so the place is at the newest end,
+   behind only this slice's entries with a greater serial. *)
+let link_newest t st =
+  let p = ref t.lru.older in
+  while
+    !p != t.lru
+    && !p.last_used = st.last_used
+    && String.compare !p.serial st.serial > 0
+  do
+    p := !p.older
+  done;
+  let p = !p in
+  st.older <- p;
+  st.newer <- p.newer;
+  p.newer.older <- st;
+  p.newer <- st
+
+(* Called only on a full store, so the ring holds at least one entry. *)
 let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun serial st acc ->
-        match acc with
-        | None -> Some (serial, st)
-        | Some (serial', st') ->
-            (* Deterministic LRU: oldest last_used, serial breaks ties. *)
-            if
-              st.last_used < st'.last_used
-              || (st.last_used = st'.last_used && serial < serial')
-            then Some (serial, st)
-            else acc)
-      t.store None
-  in
-  match victim with
-  | Some (serial, _) ->
-      Hashtbl.remove t.store serial;
-      t.evictions <- t.evictions + 1;
-      if t.obs <> None then
-        observe t ~corr:(epoch_corr t) (Obs.Event.Evicted { serial })
-  | None -> ()
+  let victim = t.lru.newer in
+  unlink victim;
+  Hashtbl.remove t.store victim.serial;
+  t.evictions <- t.evictions + 1;
+  if t.obs <> None then
+    observe t ~corr:(epoch_corr t) (Obs.Event.Evicted { serial = victim.serial })
 
 let lookup_store t ~serial =
   match Hashtbl.find_opt t.store serial with
@@ -469,16 +513,29 @@ let lookup_store t ~serial =
       t.key_derivations <- t.key_derivations + 1;
       let st =
         {
+          serial;
           ka;
           tokens = t.cfg.bucket_capacity;
           refill_at = t.now;
           streak = 0;
           quarantined_until = 0;
           last_used = t.now;
+          older = t.lru;
+          newer = t.lru;
         }
       in
+      link_newest t st;
       Hashtbl.replace t.store serial st;
       st
+
+(* A device's arrival stamps its entry; one already stamped this slice
+   keeps its place. *)
+let touch t st =
+  if st.last_used <> t.now then begin
+    unlink st;
+    st.last_used <- t.now;
+    link_newest t st
+  end
 
 let refill t (st : dev_state) =
   let elapsed = t.now - st.refill_at in
@@ -544,7 +601,7 @@ let arrive t ~device =
   t.arrivals <- t.arrivals + 1;
   let serial = t.provers.(device).serial in
   let st = lookup_store t ~serial in
-  st.last_used <- t.now;
+  touch t st;
   if t.now < st.quarantined_until then shed_arrival t ~serial Quarantined
   else begin
     refill t st;

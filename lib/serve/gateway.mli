@@ -25,7 +25,9 @@
     - {b Device-state store}: per-device keys and breaker state live in
       a bounded LRU store; above capacity the least-recently-used entry
       is evicted and the key re-derived (and re-charged) on the device's
-      next arrival.
+      next arrival.  Eviction is deterministic and O(1): the oldest
+      last use goes first, and among devices last used in the same slice
+      the smallest serial, compared as a string.
     - {b Circuit breaker}: a device whose sessions repeatedly time out
       or fail MAC checks is quarantined for a while — its arrivals are
       refused {!Quarantined} — so a broken or hostile device cannot
@@ -44,15 +46,15 @@ type config = {
   max_pending : int;  (** pending-queue bound; beyond it arrivals shed *)
   max_inflight : int;  (** concurrent active sessions *)
   bucket_capacity : int;  (** per-device token-bucket burst size *)
-  bucket_refill_slices : int;  (** slices per token refilled *)
-  store_capacity : int;  (** LRU device-state entries kept *)
+  bucket_refill_slices : int;  (** slices per token refilled, ≥ 1 *)
+  store_capacity : int;  (** LRU device-state entries kept, ≥ 1 *)
   deadline_slices : int;  (** hard per-session deadline once started *)
   max_attempts : int;  (** verifier retransmit budget per session *)
   backoff : Verifier.backoff;  (** retransmit schedule *)
   breaker_threshold : int;
       (** consecutive failed sessions before a device is quarantined *)
   quarantine_slices : int;  (** how long a tripped breaker holds *)
-  epoch_slices : int;  (** aggregator nonce-epoch length *)
+  epoch_slices : int;  (** aggregator nonce-epoch length, ≥ 1 *)
   slice_cycles : int;  (** nominal cycles per slice, for latency rows *)
 }
 
@@ -95,6 +97,10 @@ val create :
     and reorder, and a seeded {!Tytan_fault.Fault_plan} schedule of
     burst-loss, device-stall and late-reply events over the first
     [fault_horizon] slices is applied as it falls due).
+
+    Raises [Invalid_argument] if [devices], or the config's
+    [store_capacity], [epoch_slices] or [bucket_refill_slices], is below
+    1.
 
     With [?obs] every admission, shed, frame, verdict, breaker trip and
     epoch seal is recorded in the flight recorder: epoch correlation
@@ -214,7 +220,8 @@ val run :
 (** A full campaign: offer seeded load for [slices] slices, then stop
     arrivals and drain until every admitted session settles.  Anything
     still unsettled at the (generous) drain cap is force-timed out, so
-    [settled = admitted] always holds.
+    [settled = admitted] always holds.  [config] is checked as {!create}
+    checks it.
 
     [?arrival] (default {!Open_loop}) picks the generator.  In
     {!Closed_loop} mode [arrival_permille] is recorded but does not

@@ -10,7 +10,11 @@
    not a no-op after all.  [rollout/faults-leaky-clean-alternate] was
    recorded from the installer as it stood before its per-domain
    analysis memo (DESIGN.md §16): reusing a decode and verdict must not
-   move it either.
+   move it either.  [gateway/small-store-churn] was recorded from the
+   gateway's scanning device store, which folded every entry to find its
+   eviction victim, before the store kept its entries on a ring in
+   eviction order (DESIGN.md §14): evicting in O(1) must pick the same
+   victims.
 
    The platform pin is the instruction, cycle and context-switch count
    and the per-task cycle attribution of the use case, recorded from the
@@ -65,11 +69,11 @@ let swarm_cases =
     [ Swarm.Scalar; Swarm.Incremental ]
 
 let gateway_cases =
-  let run ?arrival ?(faults = false) ?loss_percent ~devices ~slices ~rate ~seed
-      () =
+  let run ?config ?arrival ?(faults = false) ?loss_percent ~devices ~slices
+      ~rate ~seed () =
     digest_line
       (Gateway.to_string
-         (Gateway.run ?arrival ~faults ?loss_percent ~devices ~slices
+         (Gateway.run ?config ?arrival ~faults ?loss_percent ~devices ~slices
             ~arrival_permille:rate ~seed ()))
   in
   [
@@ -93,6 +97,13 @@ let gateway_cases =
       fun () ->
         run ~faults:true ~loss_percent:60 ~devices:32 ~slices:300 ~rate:16000
           ~seed:9 () );
+    (* A 16-entry store under 24 devices: store hits, touches that move an
+       entry and evictions that break same-slice ties by serial. *)
+    ( "gateway/small-store-churn",
+      fun () ->
+        run
+          ~config:{ Gateway.default_config with store_capacity = 16 }
+          ~faults:true ~devices:24 ~slices:240 ~rate:6000 ~seed:11 () );
   ]
 
 let platform_key_of ~serial =
@@ -225,6 +236,7 @@ let pins =
     ("gateway/faults", "digest: sha1:c524877614a9b024e7f7c2e3de3bf8867c51d0d6");
     ("gateway/overload-evict", "digest: sha1:d1c6f301023b981021dc1bede83ec02234875a9d");
     ("gateway/breaker-loss-60", "digest: sha1:03bb67165808569c06a7e60e059829b99be18cea");
+    ("gateway/small-store-churn", "digest: sha1:359cd3957586e9efd9fd6bdd431b35c974d3413f");
     ("rollout/clean", "digest: sha1:4a2f6e489890af62e552524ca1bb007766a253ab");
     ("rollout/stale-leaky", "digest: sha1:c8b5a20ee5fe10a91694d742c443830776584f18");
     ("rollout/faults", "digest: sha1:ba1c90e41d56e2c8a7b1a3aa523abb2a708b646f");

@@ -1,13 +1,14 @@
 (* The verifier gateway: admission control, typed load shedding, token
-   buckets, deadlines, the LRU device-state store and the circuit
-   breaker — plus the fuzz property that hostile frames land in typed
-   counters, never exceptions, and the link counter reconciliation the
-   gateway's reports lean on. *)
+   buckets, deadlines, the LRU device-state store and its eviction order,
+   config bounds and the circuit breaker — plus the fuzz property that
+   hostile frames land in typed counters, never exceptions, and the link
+   counter reconciliation the gateway's reports lean on. *)
 
 open Tytan_netsim
 module Gateway = Tytan_serve.Gateway
 module Swarm = Tytan_provision.Swarm
 module Fault_plan = Tytan_fault.Fault_plan
+module Obs = Tytan_obs.Obs
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -107,6 +108,118 @@ let gateway_tests =
           r.Gateway.admitted (Gateway.settled r);
         check_bool "queue stayed bounded under faults" true
           (r.Gateway.max_queue_depth <= r.Gateway.queue_bound));
+  ]
+
+(* --- The device store: eviction order and config bounds ------------------- *)
+
+(* Every eviction a gateway recorded, as (slice, serial), in order. *)
+let evictions log =
+  List.filter_map
+    (fun (r : Obs.record) ->
+      match r.Obs.event with
+      | Obs.Event.Evicted { serial } -> Some (r.Obs.at, serial)
+      | _ -> None)
+    (Obs.Log.records log)
+
+(* Offer [slices] (each a list of device arrivals) to an observed gateway
+   whose store holds [capacity] entries, stepping after each slice. *)
+let gateway_evictions ~devices ~capacity slices =
+  let obs = Obs.Log.create () in
+  let g =
+    Gateway.create
+      ~config:{ Gateway.default_config with store_capacity = capacity }
+      ~obs ~devices ~seed:1 ()
+  in
+  List.iter
+    (fun arrivals ->
+      List.iter (fun d -> ignore (Gateway.arrive g ~device:d)) arrivals;
+      Gateway.step g)
+    slices;
+  evictions obs
+
+(* The oracle: the scanning store the ring replaced.  It keeps serial ->
+   last_used; a miss at capacity evicts the argmin of (last_used, serial),
+   serials compared as strings; every arrival then stamps the slice. *)
+let model_evictions ~capacity slices =
+  let store = Hashtbl.create 16 in
+  let evicted = ref [] in
+  let older (s, lu) (s', lu') =
+    lu < lu' || (lu = lu' && String.compare s s' < 0)
+  in
+  List.iteri
+    (fun now arrivals ->
+      List.iter
+        (fun d ->
+          let serial = Printf.sprintf "dev-%05d" d in
+          if
+            (not (Hashtbl.mem store serial))
+            && Hashtbl.length store >= capacity
+          then begin
+            let victim =
+              Hashtbl.fold
+                (fun s lu acc ->
+                  match acc with
+                  | Some v when older v (s, lu) -> acc
+                  | _ -> Some (s, lu))
+                store None
+            in
+            Option.iter
+              (fun (s, _) ->
+                Hashtbl.remove store s;
+                evicted := (now, s) :: !evicted)
+              victim
+          end;
+          Hashtbl.replace store serial now)
+        arrivals)
+    slices;
+  List.rev !evicted
+
+let store_scenario_gen =
+  QCheck.Gen.(
+    let* devices = int_range 1 40 in
+    let* capacity = int_range 1 12 in
+    let* slices =
+      list_size (int_range 1 30)
+        (list_size (int_range 0 7) (int_bound (devices - 1)))
+    in
+    return (devices, capacity, slices))
+
+let rejects_config field config =
+  Alcotest.test_case ("rejects " ^ field ^ " below 1") `Quick (fun () ->
+      Alcotest.check_raises field
+        (Invalid_argument ("Gateway.create: " ^ field ^ " must be positive"))
+        (fun () ->
+          ignore
+            (Gateway.run ~config ~devices:16 ~slices:40 ~arrival_permille:3000
+               ~seed:1 ())))
+
+let store_tests =
+  [
+    Alcotest.test_case "eviction breaks same-slice ties by serial, not order"
+      `Quick (fun () ->
+        (* Slice 0 stores dev-4 then dev-2: the tie goes to the smaller
+           serial, so dev-2 is evicted first although it arrived last.
+           Slice 2 re-touches dev-4, which leaves dev-9 the oldest. *)
+        Alcotest.(check (list (pair int string)))
+          "evicted (slice, serial)"
+          [ (1, "dev-00002"); (2, "dev-00009") ]
+          (gateway_evictions ~devices:10 ~capacity:2 [ [ 4; 2 ]; [ 9 ]; [ 4; 6 ] ]));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"evictions match a scan for the oldest (last_used, serial)"
+         ~count:100
+         (QCheck.make
+            ~print:QCheck.Print.(triple int int (list (list int)))
+            store_scenario_gen)
+         (fun (devices, capacity, slices) ->
+           gateway_evictions ~devices ~capacity slices
+           = model_evictions ~capacity slices));
+    rejects_config "store_capacity"
+      { Gateway.default_config with Gateway.store_capacity = 0 };
+    rejects_config "epoch_slices"
+      { Gateway.default_config with Gateway.epoch_slices = 0 };
+    rejects_config "bucket_refill_slices"
+      { Gateway.default_config with Gateway.bucket_refill_slices = 0 };
   ]
 
 (* --- Determinism under load ------------------------------------------------- *)
@@ -383,6 +496,7 @@ let () =
   Alcotest.run "serve"
     [
       ("gateway", gateway_tests);
+      ("store", store_tests);
       ("determinism", determinism_tests);
       ("fuzz", fuzz_tests);
       ("link", link_tests);
