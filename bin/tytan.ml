@@ -307,11 +307,28 @@ let trace_cmd =
 
 (* --- shared by the campaign commands --------------------------------------- *)
 
+(* An integer flag in [lo, hi]: a value the engine would reject is
+   refused while parsing, so it exits 124 like any other bad argument. *)
+let int_in ?(hi = max_int) lo =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.int s) (fun n ->
+        if lo <= n && n <= hi then Ok n
+        else if hi = max_int then
+          Error (`Msg (Printf.sprintf "must be at least %d, got %d" lo n))
+        else Error (`Msg (Printf.sprintf "must be in %d..%d, got %d" lo hi n)))
+  in
+  Arg.conv ~docv:"INT" (parse, Arg.conv_printer Arg.int)
+
+let positive = int_in 1
+let non_negative = int_in 0
+let percent = int_in ~hi:100 0
+
 let seed =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign PRNG seed.")
 
 let loss =
-  Arg.(value & opt int 10 & info [ "loss" ] ~doc:"Uplink frame loss, percent.")
+  Arg.(
+    value & opt percent 10 & info [ "loss" ] ~doc:"Uplink frame loss, percent.")
 
 let verify =
   Arg.(
@@ -344,14 +361,6 @@ let fleet devices epochs seed faults mode loss rollout domains steady churn
   in
   if steady && mode <> Swarm.Incremental then begin
     prerr_endline "tytan: --steady requires --mode incremental";
-    exit 124
-  end;
-  if domains < 1 then begin
-    prerr_endline "tytan: --domains must be at least 1";
-    exit 124
-  end;
-  if churn < 0 || churn > 1000 then begin
-    prerr_endline "tytan: --churn must be in 0..1000 (permille)";
     exit 124
   end;
   let rollout =
@@ -387,10 +396,12 @@ let fleet devices epochs seed faults mode loss rollout domains steady churn
 
 let fleet_cmd =
   let devices =
-    Arg.(value & opt int 64 & info [ "devices" ] ~doc:"Fleet size.")
+    Arg.(value & opt positive 64 & info [ "devices" ] ~doc:"Fleet size.")
   in
   let epochs =
-    Arg.(value & opt int 4 & info [ "epochs" ] ~doc:"Fresh-nonce attestation rounds.")
+    Arg.(
+      value & opt positive 4
+      & info [ "epochs" ] ~doc:"Fresh-nonce attestation rounds.")
   in
   let faults =
     Arg.(
@@ -420,7 +431,7 @@ let fleet_cmd =
   in
   let domains =
     Arg.(
-      value & opt int 1
+      value & opt positive 1
       & info [ "domains" ]
           ~doc:
             "Shard host-side verification across this many OCaml domains. \
@@ -438,7 +449,7 @@ let fleet_cmd =
   in
   let churn =
     Arg.(
-      value & opt int 0
+      value & opt (int_in ~hi:1000 0) 0
       & info [ "churn" ]
           ~doc:
             "Reboot this permille of the fleet per epoch on a seeded \
@@ -475,29 +486,23 @@ let serve devices slices rate seed faults loss arrival think verify =
   let report = run () in
   print_string (Gateway.to_string report);
   reproduce ~verify ~equal:Gateway.equal ~run report;
-  (* The gateway's structural invariants: the pending queue never grows
-     past its bound, and every admitted session reaches a verdict.
-     Either failing is a gateway bug, not an experiment outcome. *)
-  if
-    report.Gateway.max_queue_depth > report.Gateway.queue_bound
-    || Gateway.settled report <> report.Gateway.admitted
-  then begin
+  if Gateway.campaign_failed report then begin
     prerr_endline "tytan: serve campaign failed: gateway invariant violated";
     exit 3
   end
 
 let serve_cmd =
   let devices =
-    Arg.(value & opt int 256 & info [ "devices" ] ~doc:"Fleet size.")
+    Arg.(value & opt positive 256 & info [ "devices" ] ~doc:"Fleet size.")
   in
   let slices =
     Arg.(
-      value & opt int 512
+      value & opt positive 512
       & info [ "slices" ] ~doc:"Slices of offered load before the drain.")
   in
   let rate =
     Arg.(
-      value & opt int 4000
+      value & opt non_negative 4000
       & info [ "arrival-rate" ]
           ~doc:"Offered load: session arrivals per 1000 slices.")
   in
@@ -520,7 +525,7 @@ let serve_cmd =
   in
   let think =
     Arg.(
-      value & opt int 8
+      value & opt non_negative 8
       & info [ "think" ]
           ~doc:"Closed-loop think time, slices between settle and next ask.")
   in
@@ -536,55 +541,50 @@ let serve_cmd =
 
 (* --- ota -------------------------------------------------------------------- *)
 
-let ota devices epochs canary seed faults loss stale leaky verify =
-  let module Registry = Tytan_provision.Registry in
+(* [clean] benign waves, versions 1..clean, then optionally a replay of
+   version 1 and a key-exfiltrating wave. *)
+let ota_waves ~clean ~stale ~leaky =
   let module Rollout = Tytan_ota.Rollout in
-  if devices <= 0 then begin
-    prerr_endline "tytan: --devices must be positive";
-    exit 124
-  end;
-  if epochs <= 0 then begin
-    prerr_endline "tytan: --epochs must be positive";
-    exit 124
-  end;
-  if canary <= 0 || canary > devices then begin
-    prerr_endline "tytan: --canary must be in 1..devices";
-    exit 124
-  end;
-  let incumbent = Tasks.counter () in
-  let clean k =
+  let clean_wave k =
     (* Distinct code bytes per wave (the yield count is an immediate),
        so every promotion changes the fleet's attested identity. *)
     { Rollout.label = Printf.sprintf "clean-%d" k;
       version = k;
       image = Tasks.yielder ~count:(2 + k) () }
   in
-  let waves =
-    List.init epochs (fun i -> clean (i + 1))
-    @ (if stale then
-         [ { Rollout.label = "stale-replay";
-             version = 1;
-             image = Tasks.yielder ~count:3 () } ]
-       else [])
-    @
-    if leaky then
-      [ { Rollout.label = "leaky";
-          version = epochs + 1;
-          image =
-            Tasks.key_leaker
-              ~receiver:(Task_id.of_image (Bytes.of_string "exfil-sink"))
-              () } ]
-    else []
-  in
+  List.init clean (fun i -> clean_wave (i + 1))
+  @ (if stale then
+       [ { Rollout.label = "stale-replay";
+           version = 1;
+           image = Tasks.yielder ~count:3 () } ]
+     else [])
+  @
+  if leaky then
+    [ { Rollout.label = "leaky";
+        version = clean + 1;
+        image =
+          Tasks.key_leaker
+            ~receiver:(Task_id.of_image (Bytes.of_string "exfil-sink"))
+            () } ]
+  else []
+
+(* The OTA fleet's platform keys come from the fleet registry. *)
+let platform_key_of seed =
+  let module Registry = Tytan_provision.Registry in
+  let registry = Registry.of_seed ~name:"fleet" seed in
+  fun ~serial -> Registry.platform_key registry ~serial
+
+let ota devices epochs canary seed faults loss stale leaky verify =
+  let module Rollout = Tytan_ota.Rollout in
+  if canary <= 0 || canary > devices then begin
+    prerr_endline "tytan: --canary must be in 1..devices";
+    exit 124
+  end;
+  let incumbent = Tasks.counter () in
+  let waves = ota_waves ~clean:epochs ~stale ~leaky in
   let run () =
-    let master =
-      Bytes.of_string
-        (Printf.sprintf "fleet-master-%08x" (seed land 0xFFFF_FFFF))
-    in
-    let registry = Registry.create ~master in
     Rollout.run ~devices ~canary ~seed ~faults ~loss_percent:loss
-      ~platform_key_of:(fun ~serial -> Registry.platform_key registry ~serial)
-      ~incumbent waves
+      ~platform_key_of:(platform_key_of seed) ~incumbent waves
   in
   let report = run () in
   print_string (Rollout.to_string report);
@@ -602,11 +602,11 @@ let ota devices epochs canary seed faults loss stale leaky verify =
 
 let ota_cmd =
   let devices =
-    Arg.(value & opt int 24 & info [ "devices" ] ~doc:"Fleet size.")
+    Arg.(value & opt positive 24 & info [ "devices" ] ~doc:"Fleet size.")
   in
   let epochs =
     Arg.(
-      value & opt int 3
+      value & opt positive 3
       & info [ "epochs" ]
           ~doc:"Clean firmware waves, versions 1..K, each canaried.")
   in
@@ -671,17 +671,8 @@ let write_text path text =
 let audit devices slices canary seed faults trail slo verify_chain tamper
     json_path perfetto_path =
   let module Gateway = Tytan_serve.Gateway in
-  let module Registry = Tytan_provision.Registry in
   let module Swarm = Tytan_provision.Swarm in
   let module Rollout = Tytan_ota.Rollout in
-  if devices <= 0 then begin
-    prerr_endline "tytan: --devices must be positive";
-    exit 124
-  end;
-  if slices <= 0 then begin
-    prerr_endline "tytan: --slices must be positive";
-    exit 124
-  end;
   if canary <= 0 || canary > devices then begin
     prerr_endline "tytan: --canary must be in 1..devices";
     exit 124
@@ -706,28 +697,12 @@ let audit devices slices canary seed faults trail slo verify_chain tamper
     Gateway.run ~devices ~slices ~arrival_permille:4000 ~seed ~faults
       ~loss_percent:10 ~obs:log ()
   in
-  let master =
-    Bytes.of_string (Printf.sprintf "fleet-master-%08x" (seed land 0xFFFF_FFFF))
-  in
-  let registry = Registry.create ~master in
   let ota_devices = min devices 24 in
-  let ota_canary = min canary ota_devices in
-  let clean k =
-    { Rollout.label = Printf.sprintf "clean-%d" k;
-      version = k;
-      image = Tasks.yielder ~count:(2 + k) () }
-  in
-  let waves =
-    [ clean 1; clean 2;
-      { Rollout.label = "stale-replay";
-        version = 1;
-        image = Tasks.yielder ~count:3 () } ]
-  in
   let ota_report =
-    Rollout.run ~devices:ota_devices ~canary:ota_canary ~seed ~faults
-      ~loss_percent:10 ~obs:log
-      ~platform_key_of:(fun ~serial -> Registry.platform_key registry ~serial)
-      ~incumbent:(Tasks.counter ()) waves
+    Rollout.run ~devices:ota_devices ~canary:(min canary ota_devices) ~seed
+      ~faults ~loss_percent:10 ~obs:log ~platform_key_of:(platform_key_of seed)
+      ~incumbent:(Tasks.counter ())
+      (ota_waves ~clean:2 ~stale:true ~leaky:false)
   in
   let swarm_report =
     Swarm.run ~mode:Swarm.Incremental ~devices:(min devices 32) ~epochs:2 ~seed
@@ -736,8 +711,7 @@ let audit devices slices canary seed faults trail slo verify_chain tamper
   (* Engine invariants first: an unsettled verdict or a broken gateway
      bound is an infrastructure failure, not an audit finding. *)
   if
-    serve_report.Gateway.max_queue_depth > serve_report.Gateway.queue_bound
-    || Gateway.settled serve_report <> serve_report.Gateway.admitted
+    Gateway.campaign_failed serve_report
     || Rollout.campaign_failed ota_report
     || Swarm.campaign_failed swarm_report
   then begin
@@ -841,11 +815,12 @@ let audit devices slices canary seed faults trail slo verify_chain tamper
 
 let audit_cmd =
   let devices =
-    Arg.(value & opt int 64 & info [ "devices" ] ~doc:"Gateway fleet size.")
+    Arg.(
+      value & opt positive 64 & info [ "devices" ] ~doc:"Gateway fleet size.")
   in
   let slices =
     Arg.(
-      value & opt int 256
+      value & opt positive 256
       & info [ "slices" ] ~doc:"Gateway slices of offered load.")
   in
   let canary =
@@ -1313,7 +1288,7 @@ let cfa_cmd =
   in
   let loss =
     Arg.(
-      value & opt int 30
+      value & opt percent 30
       & info [ "loss" ] ~doc:"Frame loss on the verification link, percent.")
   in
   let local =
@@ -1324,7 +1299,7 @@ let cfa_cmd =
   in
   let capacity =
     Arg.(
-      value & opt int 4096
+      value & opt positive 4096
       & info [ "capacity" ] ~doc:"Log ring capacity, edges.")
   in
   Cmd.v

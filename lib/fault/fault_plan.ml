@@ -1,21 +1,6 @@
 open Tytan_machine
 
-module Prng = struct
-  type t = { mutable state : int }
-
-  let create seed = { state = seed land 0x3FFF_FFFF }
-
-  (* The simulator's standard LCG (Numerical Recipes constants). *)
-  let next t =
-    t.state <- (t.state * 1664525) + 1013904223 land 0x3FFF_FFFF;
-    t.state land 0x3FFF_FFFF
-
-  let int t bound =
-    if bound <= 0 then invalid_arg "Fault_plan.Prng.int: bound must be positive";
-    next t mod bound
-
-  let word t = next t
-end
+module Prng = Tytan_netsim.Link.Prng
 
 type kind =
   | Bit_flip of {
@@ -124,3 +109,20 @@ let describe = function
       Printf.sprintf "attempt to reset %s's monotonic counter" name
   | Canary_crash { name } ->
       Printf.sprintf "%s crashes mid-swap during its next activation" name
+
+let serial_of i = Printf.sprintf "dev-%05d" i
+
+(* [int_of_string] also reads signs, radix prefixes and underscores;
+   the round trip through [serial_of] rejects every such spelling. *)
+let device_of ~devices name =
+  if not (String.starts_with ~prefix:"dev-" name) then None
+  else
+    match int_of_string_opt (String.sub name 4 (String.length name - 4)) with
+    | Some i when 0 <= i && i < devices && String.equal (serial_of i) name ->
+        Some i
+    | _ -> None
+
+let sha1_hex s =
+  Tytan_crypto.Sha1.to_hex (Tytan_crypto.Sha1.digest_string s)
+
+let stamp body = body ^ Printf.sprintf "digest: sha1:%s\n" (sha1_hex body)

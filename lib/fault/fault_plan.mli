@@ -17,19 +17,9 @@
 
 open Tytan_machine
 
-(** The seeded linear-congruential PRNG every fault component shares —
-    deterministic, portable, and good enough for fault lotteries. *)
-module Prng : sig
-  type t
-
-  val create : int -> t
-  val int : t -> int -> int
-  (** Uniform draw in [\[0, bound)].  @raise Invalid_argument if
-      [bound <= 0]. *)
-
-  val word : t -> Word.t
-  (** A full 30-bit draw (garbage values for glitched reads). *)
-end
+(** The seeded PRNG every fault component shares — the simulator's one
+    generator, {!Tytan_netsim.Link.Prng}. *)
+module Prng = Tytan_netsim.Link.Prng
 
 type kind =
   | Bit_flip of { addr : Word.t; bit : int }
@@ -111,3 +101,24 @@ val kind_label : kind -> string
 
 val describe : kind -> string
 (** One-line human description for trace events. *)
+
+(** {2 Campaign conventions}
+
+    The three fleet engines (swarm, gateway, OTA rollout) name devices
+    and stamp reports the same way; these are the one copy. *)
+
+val serial_of : int -> string
+(** Device [i]'s serial, ["dev-%05d"]: zero-padded to five digits, so
+    serials from 100000 up have six or more. *)
+
+val device_of : devices:int -> string -> int option
+(** The exact inverse of {!serial_of} over a fleet of [devices]:
+    [Some i] iff [0 <= i < devices] and [serial_of i = name].  How a
+    fault event that names a device by serial finds it. *)
+
+val sha1_hex : string -> string
+(** Lowercase hex SHA-1 of a string — the [verdicts=sha1:] lines. *)
+
+val stamp : string -> string
+(** [stamp body] is [body] followed by a [digest: sha1:<hex>] line over
+    it: every engine report's last line. *)

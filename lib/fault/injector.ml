@@ -43,7 +43,7 @@ let install_hooks t =
              t.mmio_glitch_left <-
                (device, n - 1) :: List.remove_assoc device t.mmio_glitch_left;
              bump t "mmio-glitch";
-             Some (Fault_plan.Prng.word t.rng)
+             Some (Fault_plan.Prng.next t.rng)
          | _ -> None))
 
 let create platform ~(plan : Fault_plan.t) =

@@ -4,8 +4,8 @@
     higher level of the TyTAN tool chain: expressions over 32-bit words,
     task-local variables, volatile MMIO access, control flow and the
     syscall surface (delay/yield/exit/IPC).  {!Compile} lowers programs to
-    the ISA; {!Interp} is a reference interpreter the property tests use
-    to cross-check the compiler.
+    the ISA; the property tests cross-check the compiler against a
+    reference interpreter kept in [test/interp.ml].
 
     Example — a sensor-triggered alarm:
     {[

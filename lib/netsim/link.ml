@@ -29,6 +29,26 @@ type t = {
   mutable reordered : int;
 }
 
+(* Nested rather than a unit of its own, like [Wake_set] below.  The low
+   30 bits of [s * a + c] depend only on those of [s], so masking the
+   state changes no draw. *)
+module Prng = struct
+  let step s = ((s * 1664525) + 1013904223) land 0x3FFF_FFFF
+  let below s bound = s mod bound
+
+  type t = { mutable state : int }
+
+  let create seed = { state = seed land 0x3FFF_FFFF }
+
+  let next t =
+    t.state <- step t.state;
+    t.state
+
+  let int t bound =
+    if bound <= 0 then invalid_arg "Link.Prng.int: bound must be positive";
+    below (next t) bound
+end
+
 let check_percent name p =
   if p < 0 || p > 100 then
     invalid_arg (Printf.sprintf "Link.create: %s out of range" name)
@@ -58,15 +78,21 @@ let create ?(seed = 0x5EED) ?(loss_percent = 0) ?(delay = 1)
     reordered = 0;
   }
 
+let for_device ~seed ~salt ~faults ~loss_percent i =
+  let hostile p = if faults then p else 0 in
+  create
+    ~seed:(((seed * 7919) + (i * 104729) + salt) land 0x3FFF_FFFF)
+    ~loss_percent ~corrupt_percent:(hostile 3) ~duplicate_percent:(hostile 2)
+    ~reorder_percent:(hostile 2) ()
+
 let set_burst t ~until = t.burst_until <- max t.burst_until until
 let burst_active t ~at = at < t.burst_until
 
-(* Deterministic LCG (Numerical Recipes constants). *)
 let next_rand t =
-  t.rng <- (t.rng * 1664525) + 1013904223 land 0x3FFF_FFFF;
-  t.rng land 0x3FFF_FFFF
+  t.rng <- Prng.step t.rng;
+  t.rng
 
-let lottery t percent = percent > 0 && next_rand t mod 100 < percent
+let lottery t percent = percent > 0 && Prng.below (next_rand t) 100 < percent
 let other = function Device -> Remote | Remote -> Device
 
 let enqueue t frame =
@@ -78,8 +104,8 @@ let enqueue t frame =
 let corrupt_payload t payload =
   let payload = Bytes.copy payload in
   if Bytes.length payload > 0 then begin
-    let pos = next_rand t mod Bytes.length payload in
-    let mask = 1 + (next_rand t mod 255) in
+    let pos = Prng.below (next_rand t) (Bytes.length payload) in
+    let mask = 1 + Prng.below (next_rand t) 255 in
     Bytes.set payload pos
       (Char.chr (Char.code (Bytes.get payload pos) lxor mask))
   end;
@@ -105,7 +131,7 @@ let send t ~from ~at payload =
     let extra =
       if lottery t t.reorder_percent then begin
         t.reordered <- t.reordered + 1;
-        1 + (next_rand t mod 3)
+        1 + Prng.below (next_rand t) 3
       end
       else 0
     in
@@ -114,7 +140,7 @@ let send t ~from ~at payload =
     if lottery t t.duplicate_percent then begin
       t.duplicated <- t.duplicated + 1;
       enqueue t
-        { dest; due = at + t.delay + extra + (next_rand t mod 2);
+        { dest; due = at + t.delay + extra + Prng.below (next_rand t) 2;
           payload = Bytes.copy payload }
     end
   end

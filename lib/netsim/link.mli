@@ -19,6 +19,30 @@ type side =
   | Device
   | Remote
 
+(** The simulator's one seeded PRNG, shared by links, verifier sessions
+    and fault plans: a 30-bit LCG (Numerical Recipes constants) whose
+    exact draws every report digest and pin depends on.  Links and
+    sessions keep a bare [int] state in their own record and call {!step}
+    and {!below}; everyone else holds a {!t}. *)
+module Prng : sig
+  val step : int -> int
+  (** [(s * 1664525 + 1013904223) land 0x3FFF_FFFF]: any [int] seeds it,
+      and only its low 30 bits matter. *)
+
+  val below : int -> int -> int
+  (** [below s bound] is state [s]'s draw in [\[0, bound)]: [s mod bound]. *)
+
+  type t
+
+  val create : int -> t
+
+  val next : t -> int
+  (** Advance; the new 30-bit state. *)
+
+  val int : t -> int -> int
+  (** [below (next t) bound].  @raise Invalid_argument if [bound <= 0]. *)
+end
+
 type t
 
 val create :
@@ -36,6 +60,13 @@ val create :
     [duplicate_percent] arrive twice, and [reorder_percent] are held back
     1–3 extra slices (all default 0, preserving the historical loss/delay
     behaviour). *)
+
+val for_device :
+  seed:int -> salt:int -> faults:bool -> loss_percent:int -> int -> t
+(** Device [i]'s link in a fleet campaign, seeded
+    [(seed * 7919 + i * 104729 + salt) land 0x3FFF_FFFF] (each engine has
+    its own [salt]).  With [faults] it also corrupts 3%, duplicates 2%
+    and reorders 2% of the frames that survive [loss_percent]. *)
 
 val send : t -> from:side -> at:int -> bytes -> unit
 (** Queue a frame sent at slice [at]. *)

@@ -104,8 +104,8 @@ let create ~ka ~expected ?(timeout_slices = 8) ?backoff ?(max_attempts = 10)
 let next_jitter t bound =
   if bound <= 0 then 0
   else begin
-    t.jitter_rng <- (t.jitter_rng * 1664525) + 1013904223 land 0x3FFF_FFFF;
-    t.jitter_rng land 0x3FFF_FFFF mod (bound + 1)
+    t.jitter_rng <- Link.Prng.step t.jitter_rng;
+    Link.Prng.below t.jitter_rng (bound + 1)
   end
 
 (* Wait after the [n]th transmission (n = 1 for the initial send). *)
@@ -135,6 +135,23 @@ let poll t ~at =
   end
 
 let next_wake t = if t.outcome = Pending then t.next_send else max_int
+
+let settle_cap b = 16 + (10 * (b.cap_slices + b.jitter_slices))
+
+let conclude t ~cap =
+  let at = ref (2 * cap) in
+  while t.outcome = Pending do
+    ignore (poll t ~at:!at);
+    at := !at + cap
+  done
+
+let quiescent ~genesis (r : Attestation.cfa_report) =
+  if
+    r.Attestation.edge_count = 0
+    && Bytes.equal r.Attestation.cf_digest genesis
+    && Bytes.equal r.Attestation.base_digest genesis
+  then Ok ()
+  else Error "non-empty control-flow log from a quiescent device"
 
 let on_frame t frame =
   if t.outcome = Pending then

@@ -88,6 +88,20 @@ val next_wake : t -> int
     session has settled.  [poll ~at] with [at < next_wake t] returns
     [None] and changes nothing. *)
 
+val settle_cap : backoff -> int
+(** [16 + 10 * (cap_slices + jitter_slices)]: where a fleet engine's
+    slice loop stops waiting for sessions retrying under this backoff. *)
+
+val conclude : t -> cap:int -> unit
+(** Drive a session still pending when its slice loop ended at [cap] to a
+    verdict: poll unanswered at slices [2 * cap], [3 * cap], … until it
+    gives up.  A settled session is left unchanged. *)
+
+val quiescent :
+  genesis:bytes -> Attestation.cfa_report -> (unit, string) result
+(** The CFA replay for a device that should be idle: only the empty log
+    anchored at [genesis] ({!Attestation.cf_genesis}) passes. *)
+
 val on_frame : t -> bytes -> unit
 (** Feed a received frame; malformed, stale and forged frames are
     counted and ignored. *)

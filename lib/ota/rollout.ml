@@ -61,8 +61,6 @@ type report = {
   survived : bool;
 }
 
-let serial_of i = Printf.sprintf "dev-%05d" i
-
 (* The OTA chaos schedule: truncated update frames (the decoder refuses,
    the sender's retransmissions recover), counter-reset attempts (the
    hardware refuses and counts), and canaries crashing mid-swap (the
@@ -72,7 +70,7 @@ let fault_events ~seed ~devices ~waves =
   let prng = Fault_plan.Prng.create (seed lxor 0x07A7) in
   List.concat
     (List.init waves (fun wave ->
-         let dev = serial_of (Fault_plan.Prng.int prng devices) in
+         let dev = Fault_plan.serial_of (Fault_plan.Prng.int prng devices) in
          let kind =
            match Fault_plan.Prng.int prng 5 with
            | 0 | 1 ->
@@ -240,9 +238,7 @@ let device_step (d : dev) ~at ~truncated =
 let attest_gate ~controller_clock ~wave (cohort : dev list) ~expected ~truncated
     =
   let backoff = Verifier.default_backoff in
-  let slice_cap =
-    16 + (10 * (backoff.Verifier.cap_slices + backoff.Verifier.jitter_slices))
-  in
+  let slice_cap = Verifier.settle_cap backoff in
   let genesis = Attestation.cf_genesis ~id:expected in
   let sessions =
     List.map
@@ -254,13 +250,7 @@ let attest_gate ~controller_clock ~wave (cohort : dev list) ~expected ~truncated
         in
         let cfa =
           Verifier.create ~ka:d.ka ~expected ~backoff ~refusals_to_settle:2
-            ~cfa:(fun (r : Attestation.cfa_report) ->
-              if
-                r.Attestation.edge_count = 0
-                && Bytes.equal r.Attestation.cf_digest genesis
-                && Bytes.equal r.Attestation.base_digest genesis
-              then Ok ()
-              else Error "non-empty control-flow log after swap")
+            ~cfa:(Verifier.quiescent ~genesis)
             ~session:(Printf.sprintf "%s/w%d/c" d.serial wave)
             ()
         in
@@ -311,15 +301,7 @@ let attest_gate ~controller_clock ~wave (cohort : dev list) ~expected ~truncated
       Link.Wake_set.next_slice ~at ~cap:slice_cap ~settled:(!pending = 0) next
   done;
   List.iter
-    (fun (_, vs) ->
-      List.iter
-        (fun v ->
-          let at = ref (2 * slice_cap) in
-          while Verifier.outcome v = Verifier.Pending do
-            ignore (Verifier.poll v ~at:!at);
-            at := !at + slice_cap
-          done)
-        vs)
+    (fun (_, vs) -> List.iter (Verifier.conclude ~cap:slice_cap) vs)
     sessions;
   (* A device passes iff both its sessions attested. *)
   List.map
@@ -360,19 +342,11 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
     | 'G' -> Some (Obs.Event.Update_refused { serial; reason = "unreachable" })
     | _ -> None
   in
-  let corrupt_percent = if faults then 3 else 0 in
   let incumbent_id = Task_id.of_image incumbent.Telf.image in
   let fleet =
     Array.init devices (fun i ->
-        let serial = serial_of i in
-        let link =
-          Link.create
-            ~seed:(((seed * 7919) + (i * 104729) + 29) land 0x3FFF_FFFF)
-            ~loss_percent ~corrupt_percent
-            ~duplicate_percent:(if faults then 2 else 0)
-            ~reorder_percent:(if faults then 2 else 0)
-            ()
-        in
+        let serial = Fault_plan.serial_of i in
+        let link = Link.for_device ~seed ~salt:29 ~faults ~loss_percent i in
         let platform_key = platform_key_of ~serial in
         (* Device-side boot-time key derivation, charged to the device;
            the controller derives its copy from the registry side. *)
@@ -413,14 +387,8 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
     if faults then fault_events ~seed ~devices ~waves:(List.length waves)
     else []
   in
-  (* Fault events name devices by serial; serials are unique, so one
-     table resolves each event in O(1) instead of a fleet scan. *)
-  let index_of = Hashtbl.create (2 * devices) in
-  Array.iter (fun d -> Hashtbl.replace index_of d.serial d.index) fleet;
   let by_serial name f =
-    match Hashtbl.find_opt index_of name with
-    | Some i -> f fleet.(i)
-    | None -> ()
+    Option.iter (fun i -> f fleet.(i)) (Fault_plan.device_of ~devices name)
   in
   let truncated = ref 0 in
   let breaker_threshold = 1 in
@@ -776,8 +744,6 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
 
 (* ---- rendering -------------------------------------------------------- *)
 
-let sha1_hex s = Crypto.Sha1.to_hex (Crypto.Sha1.digest_string s)
-
 let body r =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -801,7 +767,7 @@ let body r =
       | None -> ());
       if w.newly_quarantined <> [] then
         add "  quarantined: %s\n" (String.concat " " w.newly_quarantined);
-      add "  verdicts=sha1:%s\n" (sha1_hex w.verdicts))
+      add "  verdicts=sha1:%s\n" (Fault_plan.sha1_hex w.verdicts))
     r.waves;
   let cmin = List.fold_left min max_int r.counters in
   let cmax = List.fold_left max 0 r.counters in
@@ -818,9 +784,7 @@ let body r =
   add "survived: %s\n" (if r.survived then "yes" else "no");
   Buffer.contents b
 
-let to_string r =
-  let body = body r in
-  body ^ Printf.sprintf "digest: sha1:%s\n" (sha1_hex body)
+let to_string r = Fault_plan.stamp (body r)
 
 let equal a b = to_string a = to_string b
 

@@ -130,9 +130,9 @@ val fault_events :
 (** The deterministic OTA chaos schedule [?faults] arms (exposed for
     tests and the CLI's plan rendering). *)
 
-val body : report -> string
 val to_string : report -> string
-(** [body] plus a trailing [digest: sha1:…] line over the body. *)
+(** Deterministic rendering ending in a [digest: sha1:…] line over the
+    rest ({!Tytan_fault.Fault_plan.stamp}). *)
 
 val equal : report -> report -> bool
 (** Rendering equality — the determinism check. *)

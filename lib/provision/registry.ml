@@ -8,14 +8,17 @@ type t = {
 
 let create ~master = { master; manifest = [] }
 
+let of_seed ~name seed =
+  create
+    ~master:
+      (Bytes.of_string
+         (Printf.sprintf "%s-master-%08x" name (seed land 0xFFFF_FFFF)))
+
 let platform_key t ~serial =
   Crypto.Hmac.mac_string ~key:t.master ("device/" ^ serial)
 
 let attestation_key t ~serial =
   Attestation.derive_ka ~platform_key:(platform_key t ~serial)
-
-let provider_attestation_key t ~serial ~provider =
-  Attestation.derive_provider_ka ~platform_key:(platform_key t ~serial) ~provider
 
 let set_manifest t entries = t.manifest <- entries
 let manifest t = t.manifest

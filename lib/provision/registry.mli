@@ -20,13 +20,17 @@ type t
 val create : master:bytes -> t
 (** [master] is the manufacturer's root secret (any length). *)
 
+val of_seed : name:string -> int -> t
+(** A seeded campaign's registry: master secret
+    ["<name>-master-%08x"] over the seed's low 32 bits.  The swarm runs
+    under ["fleet"] (and so does the CLI's OTA campaign, which shares
+    its fleet), the gateway under ["serve"]. *)
+
 val platform_key : t -> serial:string -> bytes
 (** The 20-byte Kp burned into device [serial] at manufacture. *)
 
 val attestation_key : t -> serial:string -> bytes
 (** Ka for that device, as its verifier needs it. *)
-
-val provider_attestation_key : t -> serial:string -> provider:string -> bytes
 
 (** {2 Software manifest} *)
 

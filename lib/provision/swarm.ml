@@ -87,8 +87,6 @@ type report = {
   survived : bool;
 }
 
-let serial_of i = Printf.sprintf "dev-%05d" i
-
 (* The device-fault schedule: image tampers (a flipped firmware bit —
    the device then honestly refuses the reference identity), permanent
    kills and one-epoch hangs, pinned to epochs via [at_tick].  Built
@@ -106,8 +104,8 @@ let fault_events ~seed ~devices ~epochs =
           | 0 ->
               Fault_plan.Bit_flip
                 { addr = dev; bit = Fault_plan.Prng.int prng 8 }
-          | 1 -> Fault_plan.Task_kill { name = serial_of dev }
-          | _ -> Fault_plan.Task_hang { name = serial_of dev }
+          | 1 -> Fault_plan.Task_kill { name = Fault_plan.serial_of dev }
+          | _ -> Fault_plan.Task_hang { name = Fault_plan.serial_of dev }
         in
         { Fault_plan.at_tick = epoch; kind })
   in
@@ -142,10 +140,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
   if churn_permille < 0 || churn_permille > 1000 then
     invalid_arg "Swarm.run: churn_permille out of range";
   let domains = max 1 (min domains devices) in
-  let master =
-    Bytes.of_string (Printf.sprintf "fleet-master-%08x" (seed land 0xFFFF_FFFF))
-  in
-  let registry = Registry.create ~master in
+  let registry = Registry.of_seed ~name:"fleet" seed in
   let rollout =
     Option.map
       (fun (telf : Telf.t) ->
@@ -186,18 +181,10 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     | None -> ()
     | Some log -> Obs.Log.record log ~corr ~at event
   in
-  let corrupt_percent = if faults then 3 else 0 in
   let provers =
     Array.init devices (fun i ->
-        let serial = serial_of i in
-        let link =
-          Link.create
-            ~seed:(((seed * 7919) + (i * 104729) + 13) land 0x3FFF_FFFF)
-            ~loss_percent ~corrupt_percent
-            ~duplicate_percent:(if faults then 2 else 0)
-            ~reorder_percent:(if faults then 2 else 0)
-            ()
-        in
+        let serial = Fault_plan.serial_of i in
+        let link = Link.for_device ~seed ~salt:13 ~faults ~loss_percent i in
         let platform_key = Registry.platform_key registry ~serial in
         (* Device-side boot-time key derivation, same in every mode. *)
         let ka =
@@ -215,16 +202,8 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
         })
   in
   let plan = if faults then fault_events ~seed ~devices ~epochs else [] in
-  (* Fault events name devices by serial; serials are unique, so one
-     table resolves each event in O(1) instead of a fleet scan. *)
-  let index_of = Hashtbl.create (2 * devices) in
-  Array.iteri
-    (fun i (p : prover) -> Hashtbl.replace index_of p.serial i)
-    provers;
   let by_serial name f =
-    match Hashtbl.find_opt index_of name with
-    | Some i -> f provers.(i)
-    | None -> ()
+    Option.iter (fun i -> f provers.(i)) (Fault_plan.device_of ~devices name)
   in
   let churn = churn_events ~seed ~devices ~epochs ~churn_permille in
   (* The parallel harness.  Each worker domain owns one contiguous
@@ -345,9 +324,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
       (Link.deliver p.link ~to_:Link.Device ~at)
   in
   let backoff = Verifier.default_backoff in
-  let slice_cap =
-    16 + (10 * (backoff.Verifier.cap_slices + backoff.Verifier.jitter_slices))
-  in
+  let slice_cap = Verifier.settle_cap backoff in
   let survived = ref true in
   let stats = ref [] in
   (* Steady-state bookkeeping: the verdict and proven identity each
@@ -517,18 +494,11 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
         Link.Wake_set.next_slice ~at ~cap:slice_cap ~settled:(!pending = 0)
           (Array.fold_left min max_int wnext)
     done;
-    (* Anything still pending past the cap has exhausted its schedule:
-       drive the state machine until it concedes.  A pending session's
-       device is always still active. *)
+    (* A pending session's device is always still active. *)
     Array.iter
       (fun set ->
         Link.Wake_set.iter set (fun d ->
-            let v = Option.get sessions.(d) in
-            let at = ref (2 * slice_cap) in
-            while Verifier.outcome v = Verifier.Pending do
-              ignore (Verifier.poll v ~at:!at);
-              at := !at + slice_cap
-            done))
+            Verifier.conclude (Option.get sessions.(d)) ~cap:slice_cap))
       active;
     obs_at := base + !slice;
     (* Devices carried on liveness: charge the keepalive processing and
@@ -717,8 +687,6 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     survived = !survived;
   }
 
-let verdict_digest s = Crypto.Sha1.to_hex (Crypto.Sha1.digest_string s)
-
 let body r =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -746,7 +714,7 @@ let body r =
         s.batches s.cache_hits s.cache_misses s.challenged s.carried
         s.delta_changed s.verify_cycles;
       if s.root_hex <> "" then add "  root=%s\n" s.root_hex;
-      add "  verdicts=sha1:%s\n" (verdict_digest s.verdicts))
+      add "  verdicts=sha1:%s\n" (Fault_plan.sha1_hex s.verdicts))
     r.per_epoch;
   add "verifier_cycles=%d device_cycles=%d\n" r.verifier_cycles r.device_cycles;
   add "frames: sent=%d dropped=%d delivered=%d\n" r.frames_sent r.frames_dropped
@@ -757,9 +725,7 @@ let body r =
   add "survived: %s\n" (if r.survived then "yes" else "no");
   Buffer.contents b
 
-let to_string r =
-  let body = body r in
-  body ^ Printf.sprintf "digest: sha1:%s\n" (verdict_digest body)
+let to_string r = Fault_plan.stamp (body r)
 
 let equal a b = to_string a = to_string b
 

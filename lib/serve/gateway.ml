@@ -130,7 +130,6 @@ type t = {
   genesis : bytes;  (* empty CFA log head for fw_id *)
   provers : prover array;
   wired : Link.Wake_set.t;  (* devices with frames in flight on their link *)
-  index_of : (string, int) Hashtbl.t;  (* serial -> prover index *)
   store : (string, dev_state) Hashtbl.t;  (* serial -> its entry on [lru] *)
   lru : dev_state;  (* the store ring's sentinel: [newer] is the oldest *)
   by_seq : (string * int, session) Hashtbl.t;  (* live-session demux *)
@@ -169,8 +168,6 @@ type t = {
          off the calendar until {!settle} reschedules it. *)
 }
 
-let serial_of i = Printf.sprintf "dev-%05d" i
-
 (* The gateway-layer chaos schedule: correlated outages, wedged devices
    and deadline-crossing replies, seeded like [Swarm.fault_events] so
    the whole campaign stays a pure function of its tuple. *)
@@ -181,7 +178,7 @@ let network_faults ~seed ~devices ~horizon =
   let events =
     List.init count (fun _ ->
         let at = Fault_plan.Prng.int prng span in
-        let name = serial_of (Fault_plan.Prng.int prng devices) in
+        let name = Fault_plan.serial_of (Fault_plan.Prng.int prng devices) in
         let kind =
           match Fault_plan.Prng.int prng 3 with
           | 0 ->
@@ -213,32 +210,19 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
       ("epoch_slices", config.epoch_slices);
       ("bucket_refill_slices", config.bucket_refill_slices);
     ];
-  let master =
-    Bytes.of_string (Printf.sprintf "serve-master-%08x" (seed land 0xFFFF_FFFF))
-  in
-  let registry = Registry.create ~master in
+  let registry = Registry.of_seed ~name:"serve" seed in
   let image = Fleet.reference_image ~seed ~size:512 in
   let fw_id = Task_id.of_image image in
   let clock = Cycles.create () in
   let device_clock = Cycles.create () in
-  let corrupt_percent = if faults then 3 else 0 in
-  let index_of = Hashtbl.create (devices * 2) in
   let genesis =
     Cost_model.charge_hashing device_clock (fun () ->
         Attestation.cf_genesis ~id:fw_id)
   in
   let provers =
     Array.init devices (fun i ->
-        let serial = serial_of i in
-        Hashtbl.replace index_of serial i;
-        let link =
-          Link.create
-            ~seed:(((seed * 7919) + (i * 104729) + 31) land 0x3FFF_FFFF)
-            ~loss_percent ~corrupt_percent
-            ~duplicate_percent:(if faults then 2 else 0)
-            ~reorder_percent:(if faults then 2 else 0)
-            ()
-        in
+        let serial = Fault_plan.serial_of i in
+        let link = Link.for_device ~seed ~salt:31 ~faults ~loss_percent i in
         let platform_key = Registry.platform_key registry ~serial in
         let ka =
           Cost_model.charge_hashing device_clock (fun () ->
@@ -280,7 +264,6 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
     genesis;
     provers;
     wired = Link.Wake_set.create ~universe:devices;
-    index_of;
     store = Hashtbl.create (config.store_capacity * 2);
     lru =
       (let rec sentinel =
@@ -415,7 +398,6 @@ let epoch_corr t =
   | _ -> ());
   corr
 
-let slice t = t.now
 let pending_depth t = Queue.length t.pending_q
 let inflight_count t = t.inflight_n
 let malformed_frames t = t.malformed
@@ -430,32 +412,29 @@ let bump t label =
 
 let apply_due_faults t =
   let at = t.now in
+  let by_serial name f =
+    Option.iter
+      (fun i -> f t.provers.(i))
+      (Fault_plan.device_of ~devices:(Array.length t.provers) name)
+  in
   let rec go () =
     match t.fault_queue with
     | ev :: rest when ev.Fault_plan.at_tick <= at ->
         t.fault_queue <- rest;
         (match ev.Fault_plan.kind with
-        | Fault_plan.Burst_loss { name; duration } -> (
-            match Hashtbl.find_opt t.index_of name with
-            | Some i ->
-                Link.set_burst t.provers.(i).link ~until:(at + duration);
-                bump t "burst-loss"
-            | None -> ())
-        | Fault_plan.Device_stall { name; duration } -> (
-            match Hashtbl.find_opt t.index_of name with
-            | Some i ->
-                let p = t.provers.(i) in
+        | Fault_plan.Burst_loss { name; duration } ->
+            by_serial name (fun p ->
+                Link.set_burst p.link ~until:(at + duration);
+                bump t "burst-loss")
+        | Fault_plan.Device_stall { name; duration } ->
+            by_serial name (fun p ->
                 p.stall_until <- max p.stall_until (at + duration);
-                bump t "device-stall"
-            | None -> ())
-        | Fault_plan.Late_reply { name; extra; duration } -> (
-            match Hashtbl.find_opt t.index_of name with
-            | Some i ->
-                let p = t.provers.(i) in
+                bump t "device-stall")
+        | Fault_plan.Late_reply { name; extra; duration } ->
+            by_serial name (fun p ->
                 p.late_until <- max p.late_until (at + duration);
                 p.late_extra <- extra;
-                bump t "late-reply"
-            | None -> ())
+                bump t "late-reply")
         | _ -> ());
         go ()
     | _ -> ()
@@ -547,16 +526,6 @@ let refill t (st : dev_state) =
 
 (* ---- sessions --------------------------------------------------------- *)
 
-let cfa_check t (r : Attestation.cfa_report) =
-  (* A quiescent device answers with the empty, genesis-anchored log;
-     anything else from a device that should be idle is a compromise. *)
-  if
-    r.Attestation.edge_count = 0
-    && Bytes.equal r.Attestation.cf_digest t.genesis
-    && Bytes.equal r.Attestation.base_digest t.genesis
-  then Ok ()
-  else Error "non-empty control-flow log from a quiescent device"
-
 let make_verifier t (st : dev_state) ~serial ~kind ~label =
   let backoff = t.cfg.backoff in
   let max_attempts = t.cfg.max_attempts in
@@ -576,7 +545,7 @@ let make_verifier t (st : dev_state) ~serial ~kind ~label =
   | Cfa ->
       Verifier.create ~ka:st.ka ~expected:t.fw_id ~backoff ~max_attempts
         ~refusals_to_settle:2
-        ~cfa:(fun r -> cfa_check t r)
+        ~cfa:(Verifier.quiescent ~genesis:t.genesis)
         ~session:label ()
 
 let draw_kind t =
@@ -894,6 +863,9 @@ type report = {
 let shed r = r.shed_busy + r.shed_rate_limited + r.shed_quarantined
 let settled r = r.attested + r.refused + r.timed_out + r.cfa_rejected
 
+let campaign_failed r =
+  r.max_queue_depth > r.queue_bound || settled r <> r.admitted
+
 (* Nearest-rank percentile over the exact latency population, so the
    p99 row in the bench table is sharp. *)
 let percentile sorted p =
@@ -1063,8 +1035,6 @@ let run ?(config = default_config) ?(faults = false) ?(loss_percent = 10)
       | Open_loop -> None
       | Closed_loop { think } -> Some think)
 
-let sha1_hex s = Crypto.Sha1.to_hex (Crypto.Sha1.digest_string s)
-
 let body r =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -1099,8 +1069,6 @@ let body r =
   List.iter (fun (k, v) -> add "  %s=%d\n" k v) r.telemetry;
   Buffer.contents b
 
-let to_string r =
-  let body = body r in
-  body ^ Printf.sprintf "digest: sha1:%s\n" (sha1_hex body)
+let to_string r = Fault_plan.stamp (body r)
 
 let equal a b = to_string a = to_string b

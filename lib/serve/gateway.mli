@@ -68,8 +68,6 @@ type refusal =
   | Rate_limited  (** the device's token bucket is empty *)
   | Quarantined  (** the device's circuit breaker is open *)
 
-val refusal_label : refusal -> string
-
 type admission =
   | Admitted
   | Shed of refusal
@@ -122,8 +120,6 @@ val inject_frame : t -> device:int -> bytes -> unit
     — the fuzzing hook.  Whatever the bytes, the gateway classifies
     (malformed / unknown-revision / stale / session-routed) and never
     raises. *)
-
-val slice : t -> int
 
 val pending_depth : t -> int
 
@@ -204,6 +200,12 @@ val shed : report -> int
 val settled : report -> int
 (** [attested + refused + timed_out + cfa_rejected]; equals [admitted]
     once a campaign has drained. *)
+
+val campaign_failed : report -> bool
+(** The gateway's invariants, broken: the pending queue grew past its
+    bound ([max_queue_depth > queue_bound]), or an admitted session never
+    reached a verdict ([settled <> admitted]).  Either is a gateway bug,
+    not an experiment outcome. *)
 
 val run :
   ?config:config ->

@@ -58,6 +58,79 @@ let plan_tests =
         done);
   ]
 
+(* The generator as the engines each wrote it before [Link.Prng] owned
+   it, kept here only as the oracle: the state update masks the
+   increment, not the state, and every draw masks the output first.
+   Fault plans masked their seed; links and verifier sessions did not. *)
+let parent_step s = (s * 1664525) + 1013904223 land 0x3FFF_FFFF
+
+let parent_draws ~seed ~n draw =
+  let s = ref seed in
+  List.init n (fun _ ->
+      s := parent_step !s;
+      draw (!s land 0x3FFF_FFFF))
+
+let prng_props =
+  [
+    QCheck.Test.make ~name:"shared prng reproduces every engine's old draws"
+      ~count:200
+      QCheck.(pair int (int_range 1 10_000))
+      (fun (seed, bound) ->
+        let fault_plan =
+          let t = Fault_plan.Prng.create seed in
+          List.init 64 (fun _ -> Fault_plan.Prng.int t bound)
+        in
+        let unmasked draw =
+          let s = ref seed in
+          List.init 64 (fun _ ->
+              s := Link.Prng.step !s;
+              draw !s)
+        in
+        fault_plan
+        = parent_draws ~seed:(seed land 0x3FFF_FFFF) ~n:64 (fun x -> x mod bound)
+        && unmasked (fun s -> Link.Prng.below s bound)
+           = parent_draws ~seed ~n:64 (fun x -> x mod bound)
+        (* A verifier session's jitter draws in [0, bound]. *)
+        && unmasked (fun s -> Link.Prng.below s (bound + 1))
+           = parent_draws ~seed ~n:64 (fun x -> x mod (bound + 1))
+        && unmasked Fun.id = parent_draws ~seed ~n:64 Fun.id);
+  ]
+
+let serial_tests =
+  [
+    Alcotest.test_case "device_of is the exact inverse of serial_of" `Quick
+      (fun () ->
+        List.iter
+          (fun devices ->
+            let inside =
+              [ 0; 1; 5; 23; 4095; 99_999; 100_000; devices - 1 ]
+              @ List.init 64 (fun k -> k * devices / 64)
+            in
+            List.iter
+              (fun i ->
+                if i < devices then
+                  Alcotest.(check (option int))
+                    (Fault_plan.serial_of i) (Some i)
+                    (Fault_plan.device_of ~devices (Fault_plan.serial_of i)))
+              inside;
+            List.iter
+              (fun i ->
+                Alcotest.(check (option int))
+                  (Printf.sprintf "%d outside %d devices" i devices)
+                  None
+                  (Fault_plan.device_of ~devices (Fault_plan.serial_of i)))
+              [ devices; devices + 7; 100_000 * (1 + (devices / 100_000)) ];
+            List.iter
+              (fun name ->
+                Alcotest.(check (option int)) (Printf.sprintf "%S" name) None
+                  (Fault_plan.device_of ~devices name))
+              [
+                "dev-5"; "dev-000005"; "dev-00005 "; "DEV-00005"; "dev--0001";
+                "dev-+0001"; "dev-"; "";
+              ])
+          [ 1; 24; 4096; 100_001 ]);
+  ]
+
 (* --- Memory fault hooks ------------------------------------------------------ *)
 
 let null_device ~name ~base value =
@@ -571,7 +644,9 @@ let tycheck_fuzz_tests =
 let () =
   Alcotest.run "fault"
     [
-      ("plan", plan_tests);
+      ("plan",
+        plan_tests @ serial_tests
+        @ List.map QCheck_alcotest.to_alcotest prng_props);
       ("memory-hooks", memory_tests);
       ("watchdog", watchdog_tests);
       ("link-faults", link_tests);

@@ -457,6 +457,26 @@ let session_tests =
   let fw = Task_id.of_image (Bytes.of_string "session-test-firmware") in
   let ka = Attestation.derive_ka ~platform_key:(Bytes.make 20 'K') in
   [
+    Alcotest.test_case "conclude gives up an unanswered session only" `Quick
+      (fun () ->
+        let backoff = Verifier.default_backoff in
+        let cap = Verifier.settle_cap backoff in
+        let silent =
+          Verifier.create ~ka ~expected:fw ~backoff ~max_attempts:6
+            ~session:"dev-s/e0" ()
+        in
+        Verifier.conclude silent ~cap;
+        check_bool "unanswered session gave up" true
+          (Verifier.outcome silent = Verifier.Gave_up);
+        check_int "every attempt spent" 6 (Verifier.attempts silent);
+        let refused = Verifier.create ~ka ~expected:fw ~session:"dev-r/e0" () in
+        ignore (Verifier.poll refused ~at:0);
+        Verifier.on_frame refused
+          (Protocol.encode (Protocol.Refusal { seq = Verifier.seq refused }));
+        Verifier.conclude refused ~cap;
+        check_bool "settled session keeps its verdict" true
+          (Verifier.outcome refused = Verifier.Refused);
+        check_int "and sends nothing more" 1 (Verifier.attempts refused));
     Alcotest.test_case
       "a flaky prover's refusals cannot push an honest session to Refused"
       `Quick (fun () ->

@@ -478,6 +478,35 @@ let gating_tests =
         in
         check_bool "no '?' even under heavy faults" false
           (Swarm.campaign_failed r));
+    Alcotest.test_case "gateway campaign_failed: queue bound, settled = admitted"
+      `Quick (fun () ->
+        (* The six campaigns test_pins.ml pins. *)
+        let run ?config ?arrival ?(faults = false) ?loss_percent ~devices
+            ~slices ~rate ~seed () =
+          Gateway.run ?config ?arrival ~faults ?loss_percent ~devices ~slices
+            ~arrival_permille:rate ~seed ()
+        in
+        List.iter
+          (fun (r : Gateway.report) ->
+            check_bool "pinned campaign holds" false (Gateway.campaign_failed r);
+            check_bool "queue past its bound" true
+              (Gateway.campaign_failed
+                 { r with max_queue_depth = r.queue_bound + 1 });
+            check_bool "admitted session unsettled" true
+              (Gateway.campaign_failed { r with admitted = r.admitted + 1 }))
+          [
+            run ~devices:64 ~slices:200 ~rate:6000 ~seed:1 ();
+            run
+              ~arrival:(Gateway.Closed_loop { think = 4 })
+              ~devices:32 ~slices:160 ~rate:0 ~seed:2 ();
+            run ~faults:true ~devices:64 ~slices:200 ~rate:8000 ~seed:3 ();
+            run ~faults:true ~devices:600 ~slices:150 ~rate:30000 ~seed:5 ();
+            run ~faults:true ~loss_percent:60 ~devices:32 ~slices:300
+              ~rate:16000 ~seed:9 ();
+            run
+              ~config:{ Gateway.default_config with store_capacity = 16 }
+              ~faults:true ~devices:24 ~slices:240 ~rate:6000 ~seed:11 ();
+          ]);
     Alcotest.test_case "gateway reports render with a digest" `Quick (fun () ->
         let r =
           Gateway.run ~devices:8 ~slices:80 ~arrival_permille:2000 ~seed:2 ()
