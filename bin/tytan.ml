@@ -27,6 +27,22 @@ let make_platform baseline =
 let baseline_flag =
   Arg.(value & flag & info [ "baseline" ] ~doc:"Unmodified FreeRTOS (no TyTAN).")
 
+(* An integer flag in [lo, hi]: a value the engine would reject is
+   refused while parsing, so it exits 124 like any other bad argument. *)
+let int_in ?(hi = max_int) lo =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.int s) (fun n ->
+        if lo <= n && n <= hi then Ok n
+        else if hi = max_int then
+          Error (`Msg (Printf.sprintf "must be at least %d, got %d" lo n))
+        else Error (`Msg (Printf.sprintf "must be in %d..%d, got %d" lo hi n)))
+  in
+  Arg.conv ~docv:"INT" (parse, Arg.conv_printer Arg.int)
+
+let positive = int_in 1
+let non_negative = int_in 0
+let percent = int_in ~hi:100 0
+
 (* --- boot ----------------------------------------------------------------- *)
 
 let boot baseline =
@@ -60,11 +76,12 @@ let run baseline ticks task_count =
   let tasks =
     List.init task_count (fun i ->
         let telf = Tasks.counter ~secure () in
-        match
-          Platform.load_blocking p ~name:(Printf.sprintf "task-%d" i) ~secure telf
-        with
+        let name = Printf.sprintf "task-%d" i in
+        match Platform.load_blocking p ~name ~secure telf with
         | Ok tcb -> (tcb, telf)
-        | Error e -> failwith e)
+        | Error e ->
+            Printf.eprintf "tytan: cannot load %s: %s\n" name e;
+            exit 2)
   in
   Printf.printf "Loaded %d %s task(s); running %d ticks...\n" task_count
     (if secure then "secure" else "normal")
@@ -101,10 +118,11 @@ let run baseline ticks task_count =
 
 let run_cmd =
   let ticks =
-    Arg.(value & opt int 100 & info [ "ticks" ] ~doc:"Ticks to simulate.")
+    Arg.(value & opt non_negative 100 & info [ "ticks" ] ~doc:"Ticks to simulate.")
   in
   let tasks =
-    Arg.(value & opt int 3 & info [ "tasks" ] ~doc:"Periodic tasks to load.")
+    Arg.(
+      value & opt non_negative 3 & info [ "tasks" ] ~doc:"Periodic tasks to load.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Boot, load periodic tasks and run the scheduler")
@@ -249,7 +267,7 @@ let stats_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable output.")
   in
   let ticks =
-    Arg.(value & opt int 10 & info [ "ticks" ] ~doc:"Ticks to simulate.")
+    Arg.(value & opt non_negative 10 & info [ "ticks" ] ~doc:"Ticks to simulate.")
   in
   Cmd.v
     (Cmd.info "stats"
@@ -287,7 +305,7 @@ let trace_run ticks out =
 
 let trace_cmd =
   let ticks =
-    Arg.(value & opt int 5 & info [ "ticks" ] ~doc:"Ticks to trace.")
+    Arg.(value & opt non_negative 5 & info [ "ticks" ] ~doc:"Ticks to trace.")
   in
   let out =
     Arg.(
@@ -306,22 +324,6 @@ let trace_cmd =
     Term.(const trace_run $ ticks $ out)
 
 (* --- shared by the campaign commands --------------------------------------- *)
-
-(* An integer flag in [lo, hi]: a value the engine would reject is
-   refused while parsing, so it exits 124 like any other bad argument. *)
-let int_in ?(hi = max_int) lo =
-  let parse s =
-    Result.bind (Arg.conv_parser Arg.int s) (fun n ->
-        if lo <= n && n <= hi then Ok n
-        else if hi = max_int then
-          Error (`Msg (Printf.sprintf "must be at least %d, got %d" lo n))
-        else Error (`Msg (Printf.sprintf "must be in %d..%d, got %d" lo hi n)))
-  in
-  Arg.conv ~docv:"INT" (parse, Arg.conv_printer Arg.int)
-
-let positive = int_in 1
-let non_negative = int_in 0
-let percent = int_in ~hi:100 0
 
 let seed =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign PRNG seed.")
@@ -1124,10 +1126,6 @@ let lint_cmd =
 (* --- chaos ----------------------------------------------------------------- *)
 
 let chaos seed ticks verify =
-  if ticks < 30 then begin
-    prerr_endline "tytan: chaos needs a fault window of at least 30 ticks";
-    exit 124
-  end;
   let run () = Tytan_fault.Chaos.run ~seed ~ticks () in
   let report = run () in
   print_string (Tytan_fault.Chaos.to_string report);
@@ -1139,7 +1137,9 @@ let chaos_cmd =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fault-plan PRNG seed.")
   in
   let ticks =
-    Arg.(value & opt int 40 & info [ "ticks" ] ~doc:"Fault-window length, ticks.")
+    Arg.(
+      value & opt (int_in 30) 40
+      & info [ "ticks" ] ~doc:"Fault-window length, ticks (at least 30).")
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1279,11 +1279,13 @@ let cfa honest_ticks attack_ticks loss local capacity =
 
 let cfa_cmd =
   let honest_ticks =
-    Arg.(value & opt int 8 & info [ "honest-ticks" ] ~doc:"Honest warm-up ticks.")
+    Arg.(
+      value & opt non_negative 8
+      & info [ "honest-ticks" ] ~doc:"Honest warm-up ticks.")
   in
   let attack_ticks =
     Arg.(
-      value & opt int 8
+      value & opt non_negative 8
       & info [ "attack-ticks" ] ~doc:"Ticks to run after the exploit.")
   in
   let loss =

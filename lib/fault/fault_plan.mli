@@ -6,14 +6,19 @@
     the same scenario yields the same trace — fault campaigns are
     reproducible bit for bit.
 
-    Faults span the three layers of the simulation:
+    A plan faults one device, at two layers:
 
     - {e machine}: RAM bit flips, glitched values on RAM writes,
       transient MMIO read garbage, spurious interrupt storms;
-    - {e tasks}: killing or wedging a task at a chosen tick;
-    - the {e network} layer's faults (corruption, duplication,
-      reordering, loss) live in {!Tytan_netsim.Link} and compose with a
-      plan through the co-simulation. *)
+    - {e tasks}: killing or wedging a task at a chosen tick.
+
+    The {e network} layer's faults (corruption, duplication, reordering,
+    loss) live in {!Tytan_netsim.Link} and compose with a plan through
+    the co-simulation.  Each fleet engine draws and applies its own
+    fault kinds, which no plan carries: image tampers, kills and hangs
+    in [Tytan_provision.Swarm], outages, stalls and late replies in
+    [Tytan_serve.Gateway], truncated frames, counter resets and canary
+    crashes in [Tytan_ota.Rollout]. *)
 
 open Tytan_machine
 
@@ -37,38 +42,6 @@ type kind =
   | Task_hang of { name : string }
       (** Suspend the task so it stops making progress — the stimulus a
           watchdog exists to catch. *)
-  | Burst_loss of { name : string; duration : int }
-      (** Correlated outage: the named device's link drops every frame
-          (both directions) for [duration] slices — the fade a verifier
-          gateway's retransmit budget must ride out.  Network-layer:
-          applied by {!Tytan_serve.Gateway} via
-          {!Tytan_netsim.Link.set_burst}; the machine-level injector
-          ignores it. *)
-  | Device_stall of { name : string; duration : int }
-      (** The named device stops answering challenges for [duration]
-          slices (wedged firmware, deep sleep) — frames still flow, the
-          prover just never replies.  Network-layer, gateway-applied. *)
-  | Late_reply of { name : string; extra : int; duration : int }
-      (** For [duration] slices the named device's replies leave [extra]
-          slices late — late enough to cross a session deadline and
-          arrive as a stale frame.  Network-layer, gateway-applied. *)
-  | Frame_truncate of { name : string; count : int }
-      (** The named device's next [count] inbound frames arrive cut
-          short (a corrupted radio burst).  The defensive protocol
-          decoder refuses them; the OTA sender's retransmission schedule
-          recovers.  Network-layer: applied by {!Tytan_ota.Rollout}; the
-          machine-level injector ignores it. *)
-  | Counter_reset of { name : string }
-      (** An attempt to wind the named device's monotonic counter back
-          (the downgrade attacker's first move).  The counter hardware
-          refuses and counts the attempt — the value never moves.
-          OTA-layer, rollout-applied. *)
-  | Canary_crash of { name : string }
-      (** The named device loses power mid-swap during its next
-          activation: the staged image is abandoned {e before} the
-          counter advances and the device goes silent for the wave —
-          the canary failure a staged rollout must turn into a
-          fleet-wide abort.  OTA-layer, rollout-applied. *)
 
 type event = {
   at_tick : int;
@@ -96,25 +69,18 @@ val random_bit_flips :
     [\[base, base+size)] and PRNG-chosen ticks within
     [\[first_tick, last_tick\]]. *)
 
-val kind_label : kind -> string
-(** Short stable label for counters and reports (["bit-flip"], …). *)
-
 val describe : kind -> string
 (** One-line human description for trace events. *)
 
 (** {2 Campaign conventions}
 
     The three fleet engines (swarm, gateway, OTA rollout) name devices
-    and stamp reports the same way; these are the one copy. *)
+    and stamp reports the same way; these are the one copy.  Their fault
+    schedules carry device indices, never serials. *)
 
 val serial_of : int -> string
 (** Device [i]'s serial, ["dev-%05d"]: zero-padded to five digits, so
     serials from 100000 up have six or more. *)
-
-val device_of : devices:int -> string -> int option
-(** The exact inverse of {!serial_of} over a fleet of [devices]:
-    [Some i] iff [0 <= i < devices] and [serial_of i = name].  How a
-    fault event that names a device by serial finds it. *)
 
 val sha1_hex : string -> string
 (** Lowercase hex SHA-1 of a string — the [verdicts=sha1:] lines. *)

@@ -107,14 +107,6 @@ let apply t (ev : Fault_plan.event) =
       | None ->
           t.missed <- t.missed + 1;
           Trace.emitf t.trace ~source:"inject" "hang target %s absent" name)
-  | Burst_loss _ | Device_stall _ | Late_reply _ | Frame_truncate _
-  | Counter_reset _ | Canary_crash _ ->
-      (* Network- and OTA-layer faults: the verifier gateway and the
-         rollout engine apply these to their links, provers and
-         installers; at machine level there is nothing to do. *)
-      Trace.emitf t.trace ~source:"inject"
-        "network fault (%s) handled at the gateway layer"
-        (Fault_plan.kind_label ev.kind)
 
 let apply_due t =
   let tick = Kernel.tick_count t.kernel in

@@ -24,9 +24,10 @@ val advance : t -> cycles:int -> unit
 val run_ticks : t -> int -> unit
 
 val injected : t -> (string * int) list
-(** Applied faults per {!Fault_plan.kind_label}, sorted by label.
-    Write- and MMIO-glitches count {e actual} glitched accesses, not
-    scheduled events. *)
+(** Applied faults per kind label (["bit-flip"], ["write-glitch"],
+    ["mmio-glitch"], ["irq-storm"], ["task-kill"], ["task-hang"]),
+    sorted by label.  Write- and MMIO-glitches count {e actual} glitched
+    accesses, not scheduled events. *)
 
 val pending : t -> int
 (** Scheduled events not yet applied. *)

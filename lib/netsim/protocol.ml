@@ -287,3 +287,46 @@ let decode b =
               if arg < 0 then Error "bad ack arg"
               else Ok (UpdateAck { seq = seq_of (); status; arg }))
     | c -> Error (Printf.sprintf "%s 0x%02X" unknown_tag_prefix (Char.code c))
+
+let answer ~clock ~ka ~loaded ?genesis msg =
+  match msg with
+  | Challenge { seq; id; nonce } ->
+      if Task_id.equal id loaded then
+        let mac =
+          Cost_model.charge_hashing clock (fun () ->
+              Attestation.expected_mac ~ka ~id ~nonce)
+        in
+        Some (Response { seq; report = { Attestation.id; nonce; mac } })
+      else Some (Refusal { seq })
+  | CfaChallenge { seq; id; nonce } -> (
+      match genesis with
+      | None -> None
+      | Some genesis when Task_id.equal id loaded ->
+          (* A quiescent device's honest answer is the empty log,
+             anchored at the genesis digest — forced here, outside the
+             charge. *)
+          let genesis = Lazy.force genesis in
+          let mac =
+            Cost_model.charge_hashing clock (fun () ->
+                Attestation.expected_cfa_mac ~ka ~id ~nonce ~cf_digest:genesis
+                  ~base_digest:genesis ~edge_count:0)
+          in
+          Some
+            (CfaResponse
+               {
+                 seq;
+                 report =
+                   {
+                     Attestation.id;
+                     nonce;
+                     cf_digest = genesis;
+                     base_digest = genesis;
+                     edge_count = 0;
+                     edges = [||];
+                     mac;
+                   };
+               })
+      | Some _ -> Some (Refusal { seq }))
+  | Response _ | Refusal _ | CfaResponse _ | UpdateOffer _ | UpdateChunk _
+  | UpdateAck _ ->
+      None

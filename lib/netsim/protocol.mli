@@ -86,3 +86,25 @@ val decode : bytes -> (message, string) result
 
 val is_unknown_tag : string -> bool
 (** Does this [decode] error mean "valid-looking frame, unknown tag"? *)
+
+(** {2 The honest device} *)
+
+val answer :
+  clock:Tytan_machine.Cycles.t ->
+  ka:bytes ->
+  loaded:Task_id.t ->
+  ?genesis:bytes Lazy.t ->
+  message ->
+  message option
+(** What an honest, quiescent device running [loaded] under [ka] replies
+    to [msg].  A {!Challenge} for [loaded] gets a {!Response} whose MAC
+    ({!Tytan_core.Attestation.expected_mac}) is charged to [clock] by
+    compression count; a challenge for any other identity gets a
+    {!Refusal}.  A device with a control-flow monitor passes [genesis],
+    the {!Tytan_core.Attestation.cf_genesis} digest of [loaded]: a
+    {!CfaChallenge} for [loaded] then gets a {!CfaResponse} carrying the
+    empty log anchored at it (only the MAC is charged; [genesis] is
+    forced outside the charge, and only here), one for any other identity
+    a {!Refusal}.  Without [genesis] a {!CfaChallenge} goes unanswered,
+    and so does every message that is not a challenge.  Silence, stalls,
+    late replies and crashes are the caller's to model. *)

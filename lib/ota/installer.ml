@@ -289,46 +289,14 @@ let on_frame t frame =
           [ ack ]
       | Ok (Protocol.UpdateChunk { seq; offset; data }) ->
           Option.to_list (on_chunk t ~seq ~offset ~data)
-      | Ok (Protocol.Challenge { seq; id; nonce }) ->
-          if Task_id.equal id t.loaded then
-            let mac =
-              charged t (fun () -> Attestation.expected_mac ~ka:t.ka ~id ~nonce)
-            in
-            [ Protocol.Response { seq; report = { Attestation.id; nonce; mac } } ]
-          else [ Protocol.Refusal { seq } ]
-      | Ok (Protocol.CfaChallenge { seq; id; nonce }) ->
-          if Task_id.equal id t.loaded then begin
-            (* Freshly swapped and quiescent: the honest control-flow
-               answer is the empty log anchored at the new identity's
-               genesis digest. *)
-            let genesis = Attestation.cf_genesis ~id in
-            let mac =
-              charged t (fun () ->
-                  Attestation.expected_cfa_mac ~ka:t.ka ~id ~nonce
-                    ~cf_digest:genesis ~base_digest:genesis ~edge_count:0)
-            in
-            [
-              Protocol.CfaResponse
-                {
-                  seq;
-                  report =
-                    {
-                      Attestation.id;
-                      nonce;
-                      cf_digest = genesis;
-                      base_digest = genesis;
-                      edge_count = 0;
-                      edges = [||];
-                      mac;
-                    };
-                };
-            ]
-          end
-          else [ Protocol.Refusal { seq } ]
-      | Ok
-          ( Protocol.Response _ | Protocol.Refusal _ | Protocol.CfaResponse _
-          | Protocol.UpdateAck _ ) ->
-          []
+      | Ok msg ->
+          (* Attestation, for whatever is loaded.  Freshly swapped and
+             quiescent, the device's honest control-flow answer is the
+             empty log anchored at its identity's genesis digest. *)
+          Option.to_list
+            (Protocol.answer ~clock:t.clock ~ka:t.ka ~loaded:t.loaded
+               ~genesis:(lazy (Attestation.cf_genesis ~id:t.loaded))
+               msg)
     in
     t.update_cycles <- t.update_cycles + (Cycles.now t.clock - start);
     reply

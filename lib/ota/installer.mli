@@ -21,8 +21,11 @@
       charged), persist the counter snapshot, and adopt the identity.
 
     The installer also answers static and control-flow attestation
-    challenges for whatever it currently runs, so post-swap attestation
-    needs no second agent.  All crypto is charged to the device clock by
+    challenges for whatever it currently runs, as the honest quiescent
+    device of {!Tytan_netsim.Protocol.answer} (the genesis digest of its
+    loaded identity is computed, uncharged, only for a matching
+    control-flow challenge), so post-swap attestation needs no second
+    agent.  All crypto is charged to the device clock by
     compression count; counter traffic at the
     {!Tytan_core.Cost_model.counter_read}/[counter_increment] rates.
 
@@ -84,7 +87,7 @@ val last_refusal_cycles : t -> int
     MAC verify + counter read) — the rollback-refusal latency. *)
 
 val arm_crash : t -> unit
-(** Arm a {!Tytan_fault.Fault_plan.Canary_crash}: the next activation
+(** Arm a {!Rollout.Canary_crash} fault: the next activation
     dies inside the swap window — staged image abandoned, counter not
     advanced, device silent for the rest of the wave. *)
 
@@ -92,7 +95,7 @@ val crashed : t -> bool
 val clear_crash : t -> unit
 
 val attempt_counter_reset : t -> unit
-(** A {!Tytan_fault.Fault_plan.Counter_reset}: an MMIO write to the
+(** A {!Rollout.Counter_reset} fault: an MMIO write to the
     counter's value register.  The hardware refuses and counts it. *)
 
 val reset_attempts : t -> int

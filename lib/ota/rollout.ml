@@ -61,25 +61,28 @@ type report = {
   survived : bool;
 }
 
-(* The OTA chaos schedule: truncated update frames (the decoder refuses,
-   the sender's retransmissions recover), counter-reset attempts (the
-   hardware refuses and counts), and canaries crashing mid-swap (the
-   gate failure a staged rollout must turn into an abort) — pinned to
-   waves via [at_tick], seeded like every other campaign. *)
+(* The OTA chaos schedule, one [(wave, device, fault)] per wave in wave
+   order: truncated update frames (the decoder refuses, the sender's
+   retransmissions recover), counter-reset attempts (the hardware
+   refuses and counts), and canaries crashing mid-swap (the gate failure
+   a staged rollout must turn into an abort), seeded like every other
+   campaign. *)
+type fault =
+  | Frame_truncate of { count : int }
+  | Counter_reset
+  | Canary_crash
+
 let fault_events ~seed ~devices ~waves =
   let prng = Fault_plan.Prng.create (seed lxor 0x07A7) in
-  List.concat
-    (List.init waves (fun wave ->
-         let dev = Fault_plan.serial_of (Fault_plan.Prng.int prng devices) in
-         let kind =
-           match Fault_plan.Prng.int prng 5 with
-           | 0 | 1 ->
-               Fault_plan.Frame_truncate
-                 { name = dev; count = 1 + Fault_plan.Prng.int prng 2 }
-           | 2 | 3 -> Fault_plan.Counter_reset { name = dev }
-           | _ -> Fault_plan.Canary_crash { name = dev }
-         in
-         [ { Fault_plan.at_tick = wave; kind } ]))
+  List.init waves (fun wave ->
+      let device = Fault_plan.Prng.int prng devices in
+      let fault =
+        match Fault_plan.Prng.int prng 5 with
+        | 0 | 1 -> Frame_truncate { count = 1 + Fault_plan.Prng.int prng 2 }
+        | 2 | 3 -> Counter_reset
+        | _ -> Canary_crash
+      in
+      (wave, device, fault))
 
 (* ---- devices ---------------------------------------------------------- *)
 
@@ -387,9 +390,6 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
     if faults then fault_events ~seed ~devices ~waves:(List.length waves)
     else []
   in
-  let by_serial name f =
-    Option.iter (fun i -> f fleet.(i)) (Fault_plan.device_of ~devices name)
-  in
   let truncated = ref 0 in
   let breaker_threshold = 1 in
   let strike d =
@@ -415,18 +415,14 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
          incumbent); quarantine decisions stand. *)
       Array.iter (fun d -> Installer.clear_crash d.installer) fleet;
       List.iter
-        (fun { Fault_plan.at_tick; kind } ->
-          if at_tick = wave_idx then
-            match kind with
-            | Fault_plan.Frame_truncate { name; count } ->
-                by_serial name (fun d ->
-                    d.truncate_left <- d.truncate_left + count)
-            | Fault_plan.Counter_reset { name } ->
-                by_serial name (fun d ->
-                    Installer.attempt_counter_reset d.installer)
-            | Fault_plan.Canary_crash { name } ->
-                by_serial name (fun d -> Installer.arm_crash d.installer)
-            | _ -> ())
+        (fun (wave, device, fault) ->
+          if wave = wave_idx then
+            let d = fleet.(device) in
+            match fault with
+            | Frame_truncate { count } ->
+                d.truncate_left <- d.truncate_left + count
+            | Counter_reset -> Installer.attempt_counter_reset d.installer
+            | Canary_crash -> Installer.arm_crash d.installer)
         plan;
       let payload = Telf.encode w.image in
       let size = Bytes.length payload in

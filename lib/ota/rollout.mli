@@ -113,8 +113,8 @@ val run :
     [platform_key_of] supplies each device's platform key (normally
     [Registry.platform_key]); Ka is derived on both sides and the
     derivations charged to the respective clocks.  [incumbent] is the
-    image every device boots running (counter 0).  With [?faults] a
-    seeded schedule arms truncated update frames, counter-reset
+    image every device boots running (counter 0).  With [?faults] the
+    {!fault_events} schedule arms truncated update frames, counter-reset
     attempts and mid-swap canary crashes, and the links additionally
     corrupt, duplicate and reorder.
 
@@ -125,10 +125,25 @@ val run :
     no cycles — an observed run is bit-identical to an unobserved
     one. *)
 
+type fault =
+  | Frame_truncate of { count : int }
+      (** The device's next [count] inbound frames arrive cut short (a
+          corrupted radio burst): the defensive decoder refuses them and
+          the sender's retransmissions recover. *)
+  | Counter_reset
+      (** An attempt to wind the device's monotonic counter back (the
+          downgrade attacker's first move): the counter hardware refuses
+          and counts it ({!Installer.attempt_counter_reset}). *)
+  | Canary_crash
+      (** The device loses power mid-swap during its next activation
+          ({!Installer.arm_crash}) — the canary failure a staged rollout
+          must turn into a fleet-wide abort. *)
+
 val fault_events :
-  seed:int -> devices:int -> waves:int -> Tytan_fault.Fault_plan.event list
-(** The deterministic OTA chaos schedule [?faults] arms (exposed for
-    tests and the CLI's plan rendering). *)
+  seed:int -> devices:int -> waves:int -> (int * int * fault) list
+(** The deterministic OTA chaos schedule [?faults] arms: one
+    [(wave, device index, fault)] per wave, in wave order — exposed for
+    tests. *)
 
 val to_string : report -> string
 (** Deterministic rendering ending in a [digest: sha1:…] line over the

@@ -29,7 +29,7 @@ type prover = {
   mutable ka : bytes;  (* re-derived on reboot (same value, real cost) *)
   mutable loaded : Task_id.t;
   mutable tampered : bool;
-  mutable silenced : bool;  (* permanent: Task_kill *)
+  mutable silenced : bool;  (* permanent: Kill *)
   mutable hung_epoch : int;  (* silent during this one epoch; -1 = none *)
 }
 
@@ -87,29 +87,31 @@ type report = {
   survived : bool;
 }
 
-(* The device-fault schedule: image tampers (a flipped firmware bit —
-   the device then honestly refuses the reference identity), permanent
-   kills and one-epoch hangs, pinned to epochs via [at_tick].  Built
-   through [Fault_plan] so campaigns share the chaos subsystem's
-   seed-to-plan determinism. *)
+(* The device-fault schedule, as [(epoch, fault)] pairs: image tampers
+   (a flipped firmware bit — the device then honestly refuses the
+   reference identity), permanent kills and one-epoch hangs.  The
+   campaign applies an epoch's faults in schedule order when the epoch
+   opens, so the schedule needs no sorting. *)
+type fault =
+  | Tamper of {
+      device : int;
+      bit : int;
+    }
+  | Kill of int
+  | Hang of int
+
 let fault_events ~seed ~devices ~epochs =
   let prng = Fault_plan.Prng.create (seed lxor 0x5EED) in
-  let count = max 1 (devices / 6) in
-  let events =
-    List.init count (fun _ ->
-        let epoch = Fault_plan.Prng.int prng epochs in
-        let dev = Fault_plan.Prng.int prng devices in
-        let kind =
-          match Fault_plan.Prng.int prng 3 with
-          | 0 ->
-              Fault_plan.Bit_flip
-                { addr = dev; bit = Fault_plan.Prng.int prng 8 }
-          | 1 -> Fault_plan.Task_kill { name = Fault_plan.serial_of dev }
-          | _ -> Fault_plan.Task_hang { name = Fault_plan.serial_of dev }
-        in
-        { Fault_plan.at_tick = epoch; kind })
-  in
-  (Fault_plan.make ~seed events).Fault_plan.events
+  List.init (max 1 (devices / 6)) (fun _ ->
+      let epoch = Fault_plan.Prng.int prng epochs in
+      let device = Fault_plan.Prng.int prng devices in
+      let fault =
+        match Fault_plan.Prng.int prng 3 with
+        | 0 -> Tamper { device; bit = Fault_plan.Prng.int prng 8 }
+        | 1 -> Kill device
+        | _ -> Hang device
+      in
+      (epoch, fault))
 
 (* Reboot churn: per epoch, [churn_permille]/1000 of the fleet power-
    cycles.  A reboot re-derives the device's boot keys (real device
@@ -202,9 +204,6 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
         })
   in
   let plan = if faults then fault_events ~seed ~devices ~epochs else [] in
-  let by_serial name f =
-    Option.iter (fun i -> f provers.(i)) (Fault_plan.device_of ~devices name)
-  in
   let churn = churn_events ~seed ~devices ~epochs ~churn_permille in
   (* The parallel harness.  Each worker domain owns one contiguous
      device range — chosen by index arithmetic, never by scheduling —
@@ -274,53 +273,36 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
   | _ -> ());
   let apply_faults epoch =
     List.iter
-      (fun { Fault_plan.at_tick; kind } ->
-        if at_tick = epoch then
-          match kind with
-          | Fault_plan.Bit_flip { addr; bit } ->
-              let p = provers.(addr mod devices) in
+      (fun (at, fault) ->
+        if at = epoch then
+          match fault with
+          | Tamper { device; bit } ->
+              let p = provers.(device) in
               if not p.tampered then begin
                 let copy = Bytes.copy image in
-                let pos = (addr * 7) mod Bytes.length copy in
+                let pos = (device * 7) mod Bytes.length copy in
                 Bytes.set copy pos
                   (Char.chr (Char.code (Bytes.get copy pos) lxor (1 lsl bit)));
                 p.loaded <- Task_id.of_image copy;
                 p.tampered <- true
               end
-          | Fault_plan.Task_kill { name } ->
-              by_serial name (fun p -> p.silenced <- true)
-          | Fault_plan.Task_hang { name } ->
-              by_serial name (fun p -> p.hung_epoch <- epoch)
-          | Fault_plan.Write_glitch _ | Fault_plan.Mmio_glitch _
-          | Fault_plan.Irq_storm _ | Fault_plan.Burst_loss _
-          | Fault_plan.Device_stall _ | Fault_plan.Late_reply _
-          | Fault_plan.Frame_truncate _ | Fault_plan.Counter_reset _
-          | Fault_plan.Canary_crash _ ->
-              ())
+          | Kill device -> provers.(device).silenced <- true
+          | Hang device -> provers.(device).hung_epoch <- epoch)
       plan
   in
   let silent (p : prover) ~epoch = p.silenced || p.hung_epoch = epoch in
+  (* Fleet provers run no CFA monitor: they pass no genesis, so a
+     [CfaChallenge] goes unanswered. *)
   let prover_step (p : prover) ~epoch ~at ~clock =
     List.iter
       (fun frame ->
         match Protocol.decode frame with
-        | Error _ -> ()
-        | Ok (Protocol.Challenge { seq; id; nonce }) ->
-            if not (silent p ~epoch) then
-              if Task_id.equal id p.loaded then begin
-                let mac =
-                  Cost_model.charge_hashing clock (fun () ->
-                      Attestation.expected_mac ~ka:p.ka ~id ~nonce)
-                in
-                Link.send p.link ~from:Link.Device ~at
-                  (Protocol.encode
-                     (Protocol.Response
-                        { seq; report = { Attestation.id; nonce; mac } }))
-              end
-              else
-                Link.send p.link ~from:Link.Device ~at
-                  (Protocol.encode (Protocol.Refusal { seq }))
-        | Ok _ -> ())
+        | Ok msg when not (silent p ~epoch) ->
+            Option.iter
+              (fun reply ->
+                Link.send p.link ~from:Link.Device ~at (Protocol.encode reply))
+              (Protocol.answer ~clock ~ka:p.ka ~loaded:p.loaded msg)
+        | Ok _ | Error _ -> ())
       (Link.deliver p.link ~to_:Link.Device ~at)
   in
   let backoff = Verifier.default_backoff in

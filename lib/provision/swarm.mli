@@ -54,10 +54,13 @@
     (identical in every mode; a reboot re-derives device keys and, in
     steady state, forces a re-challenge).
 
-    With [~faults] a {!Tytan_fault.Fault_plan}-derived schedule tampers
+    With [~faults] a seeded schedule of the swarm's own faults tampers
     firmware images (the device then honestly refuses), kills devices
     outright, or hangs them for one epoch, and the links additionally
-    corrupt, duplicate and reorder frames.  Everything is seeded:
+    corrupt, duplicate and reorder frames.  A prover that is not silent
+    answers as {!Tytan_netsim.Protocol.answer} with no genesis: fleet
+    provers run no CFA monitor, so a control-flow challenge goes
+    unanswered.  Everything is seeded:
     the same [(mode, devices, epochs, seed, faults, domains, steady,
     churn)] tuple reproduces the same report bit for bit. *)
 

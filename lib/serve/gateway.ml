@@ -9,34 +9,30 @@ module Obs = Tytan_obs.Obs
 
 type config = {
   max_pending : int;
-  max_inflight : int;
   bucket_capacity : int;
   bucket_refill_slices : int;
   store_capacity : int;
-  deadline_slices : int;
-  max_attempts : int;
-  backoff : Verifier.backoff;
-  breaker_threshold : int;
-  quarantine_slices : int;
-  epoch_slices : int;
-  slice_cycles : int;
 }
 
 let default_config =
   {
     max_pending = 64;
-    max_inflight = 128;
     bucket_capacity = 4;
     bucket_refill_slices = 16;
     store_capacity = 512;
-    deadline_slices = 96;
-    max_attempts = 6;
-    backoff = Verifier.default_backoff;
-    breaker_threshold = 3;
-    quarantine_slices = 256;
-    epoch_slices = 64;
-    slice_cycles = 32_000;
   }
+
+(* The service's fixed regime: concurrent sessions, the per-session
+   deadline and retransmit schedule, the circuit breaker, the nonce
+   epoch, and the nominal cycles per slice behind the latency rows. *)
+let max_inflight = 128
+let deadline_slices = 96
+let max_attempts = 6
+let backoff = Verifier.default_backoff
+let breaker_threshold = 3
+let quarantine_slices = 256
+let epoch_slices = 64
+let slice_cycles = 32_000
 
 type refusal =
   | Busy
@@ -66,9 +62,17 @@ type verdict =
   | V_timed_out
   | V_cfa_rejected
 
+type fault =
+  | Burst_loss of { duration : int }
+  | Device_stall of { duration : int }
+  | Late_reply of {
+      extra : int;
+      duration : int;
+    }
+
 (* Same lightweight prover as [Swarm]: the protocol can only observe a
    device's uplink, key and loaded identity, so that is all we model —
-   plus the stall/late windows the gateway fault kinds drive. *)
+   plus the stall/late windows the gateway's faults drive. *)
 type prover = {
   serial : string;
   link : Link.t;
@@ -143,7 +147,7 @@ type t = {
   mutable inflight : session list;
   mutable inflight_n : int;
   mutable now : int;
-  mutable fault_queue : Fault_plan.event list;
+  mutable fault_queue : (int * int * fault) list;  (* by slice *)
   mutable fault_counts : (string * int) list;
   mutable arrivals : int;
   mutable admitted : int;
@@ -168,36 +172,31 @@ type t = {
          off the calendar until {!settle} reschedules it. *)
 }
 
-(* The gateway-layer chaos schedule: correlated outages, wedged devices
-   and deadline-crossing replies, seeded like [Swarm.fault_events] so
+(* The gateway-layer chaos schedule, as [(slice, device, fault)]
+   triples sorted by slice (stable): correlated outages, wedged devices
+   and deadline-crossing replies, seeded like every campaign schedule so
    the whole campaign stays a pure function of its tuple. *)
 let network_faults ~seed ~devices ~horizon =
   let prng = Fault_plan.Prng.create (seed lxor 0x6A7E) in
-  let count = max 2 (devices / 4) in
   let span = max 1 (horizon * 3 / 4) in
-  let events =
-    List.init count (fun _ ->
-        let at = Fault_plan.Prng.int prng span in
-        let name = Fault_plan.serial_of (Fault_plan.Prng.int prng devices) in
-        let kind =
-          match Fault_plan.Prng.int prng 3 with
-          | 0 ->
-              Fault_plan.Burst_loss
-                { name; duration = 6 + Fault_plan.Prng.int prng 20 }
-          | 1 ->
-              Fault_plan.Device_stall
-                { name; duration = 8 + Fault_plan.Prng.int prng 24 }
-          | _ ->
-              Fault_plan.Late_reply
-                {
-                  name;
-                  extra = 4 + Fault_plan.Prng.int prng 10;
-                  duration = 8 + Fault_plan.Prng.int prng 16;
-                }
-        in
-        { Fault_plan.at_tick = at; kind })
-  in
-  (Fault_plan.make ~seed events).Fault_plan.events
+  List.init (max 2 (devices / 4)) (fun _ ->
+      let at = Fault_plan.Prng.int prng span in
+      let device = Fault_plan.Prng.int prng devices in
+      let fault =
+        match Fault_plan.Prng.int prng 3 with
+        | 0 -> Burst_loss { duration = 6 + Fault_plan.Prng.int prng 20 }
+        | 1 -> Device_stall { duration = 8 + Fault_plan.Prng.int prng 24 }
+        | _ ->
+            (* One record expression: its fields are evaluated right to
+               left in declaration order, so [duration] draws first. *)
+            Late_reply
+              {
+                extra = 4 + Fault_plan.Prng.int prng 10;
+                duration = 8 + Fault_plan.Prng.int prng 16;
+              }
+      in
+      (at, device, fault))
+  |> List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
 
 let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
     ?(loss_percent = 10) ?obs ~devices ~seed () =
@@ -207,7 +206,6 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
       if v < 1 then invalid_arg ("Gateway.create: " ^ field ^ " must be positive"))
     [
       ("store_capacity", config.store_capacity);
-      ("epoch_slices", config.epoch_slices);
       ("bucket_refill_slices", config.bucket_refill_slices);
     ];
   let registry = Registry.of_seed ~name:"serve" seed in
@@ -250,7 +248,7 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
       Aggregator.on_seal aggregator (fun ~epoch ~root ~leaves ->
           Obs.Log.record log
             ~corr:(Printf.sprintf "serve/epoch-%d" epoch)
-            ~at:(epoch * config.epoch_slices)
+            ~at:(epoch * epoch_slices)
             (Obs.Event.Epoch_sealed
                { epoch; root_hex = Crypto.Sha256.to_hex root; leaves }))
   | None -> ());
@@ -388,7 +386,7 @@ let observe t ~corr event =
    a slice precede the service step, so the first event of an epoch can
    be an admission. *)
 let epoch_corr t =
-  let e = t.now / t.cfg.epoch_slices in
+  let e = t.now / epoch_slices in
   let corr = Printf.sprintf "serve/epoch-%d" e in
   (match t.obs with
   | Some log when t.obs_epoch <> e ->
@@ -412,30 +410,22 @@ let bump t label =
 
 let apply_due_faults t =
   let at = t.now in
-  let by_serial name f =
-    Option.iter
-      (fun i -> f t.provers.(i))
-      (Fault_plan.device_of ~devices:(Array.length t.provers) name)
-  in
   let rec go () =
     match t.fault_queue with
-    | ev :: rest when ev.Fault_plan.at_tick <= at ->
+    | (slice, device, fault) :: rest when slice <= at ->
         t.fault_queue <- rest;
-        (match ev.Fault_plan.kind with
-        | Fault_plan.Burst_loss { name; duration } ->
-            by_serial name (fun p ->
-                Link.set_burst p.link ~until:(at + duration);
-                bump t "burst-loss")
-        | Fault_plan.Device_stall { name; duration } ->
-            by_serial name (fun p ->
-                p.stall_until <- max p.stall_until (at + duration);
-                bump t "device-stall")
-        | Fault_plan.Late_reply { name; extra; duration } ->
-            by_serial name (fun p ->
-                p.late_until <- max p.late_until (at + duration);
-                p.late_extra <- extra;
-                bump t "late-reply")
-        | _ -> ());
+        let p = t.provers.(device) in
+        (match fault with
+        | Burst_loss { duration } ->
+            Link.set_burst p.link ~until:(at + duration);
+            bump t "burst-loss"
+        | Device_stall { duration } ->
+            p.stall_until <- max p.stall_until (at + duration);
+            bump t "device-stall"
+        | Late_reply { extra; duration } ->
+            p.late_until <- max p.late_until (at + duration);
+            p.late_extra <- extra;
+            bump t "late-reply");
         go ()
     | _ -> ()
   in
@@ -527,8 +517,6 @@ let refill t (st : dev_state) =
 (* ---- sessions --------------------------------------------------------- *)
 
 let make_verifier t (st : dev_state) ~serial ~kind ~label =
-  let backoff = t.cfg.backoff in
-  let max_attempts = t.cfg.max_attempts in
   match kind with
   | Static ->
       Verifier.create ~ka:st.ka ~expected:t.fw_id ~backoff ~max_attempts
@@ -642,9 +630,9 @@ let settle t (s : session) ~verdict =
       if verdict = V_attested then st.streak <- 0
       else if failed then begin
         st.streak <- st.streak + 1;
-        if st.streak >= t.cfg.breaker_threshold then begin
+        if st.streak >= breaker_threshold then begin
           st.streak <- 0;
-          st.quarantined_until <- t.now + t.cfg.quarantine_slices;
+          st.quarantined_until <- t.now + quarantine_slices;
           t.quarantine_trips <- t.quarantine_trips + 1;
           if not (List.mem s.s_serial t.quarantined_serials) then
             t.quarantined_serials <- s.s_serial :: t.quarantined_serials;
@@ -702,68 +690,36 @@ let prover_step t (p : prover) =
   let frames = Link.deliver p.link ~to_:Link.Device ~at in
   (* A stalled device still drains its inbox — the frames just die
      there, exactly like wedged firmware. *)
-  if at >= p.stall_until then
+  if at >= p.stall_until then begin
+    let reply_at = if at < p.late_until then at + p.late_extra else at in
+    let genesis = Lazy.from_val t.genesis in
     List.iter
       (fun frame ->
-        let reply_at = if at < p.late_until then at + p.late_extra else at in
         match Protocol.decode frame with
         | Error _ -> ()
-        | Ok (Protocol.Challenge { seq; id; nonce }) ->
-            if Task_id.equal id p.id then begin
-              let mac =
-                Cost_model.charge_hashing t.device_clock (fun () ->
-                    Attestation.expected_mac ~ka:p.ka ~id ~nonce)
-              in
-              Link.send p.link ~from:Link.Device ~at:reply_at
-                (Protocol.encode
-                   (Protocol.Response
-                      { seq; report = { Attestation.id; nonce; mac } }))
-            end
-            else
-              Link.send p.link ~from:Link.Device ~at:reply_at
-                (Protocol.encode (Protocol.Refusal { seq }))
-        | Ok (Protocol.CfaChallenge { seq; id; nonce }) ->
-            if Task_id.equal id p.id then begin
-              (* Quiescent device: the honest answer is the empty log,
-                 anchored at the genesis digest. *)
-              let mac =
-                Cost_model.charge_hashing t.device_clock (fun () ->
-                    Attestation.expected_cfa_mac ~ka:p.ka ~id ~nonce
-                      ~cf_digest:t.genesis ~base_digest:t.genesis ~edge_count:0)
-              in
-              let report =
-                {
-                  Attestation.id;
-                  nonce;
-                  cf_digest = t.genesis;
-                  base_digest = t.genesis;
-                  edge_count = 0;
-                  edges = [||];
-                  mac;
-                }
-              in
-              Link.send p.link ~from:Link.Device ~at:reply_at
-                (Protocol.encode (Protocol.CfaResponse { seq; report }))
-            end
-            else
-              Link.send p.link ~from:Link.Device ~at:reply_at
-                (Protocol.encode (Protocol.Refusal { seq }))
-        | Ok _ -> ())
+        | Ok msg ->
+            Option.iter
+              (fun reply ->
+                Link.send p.link ~from:Link.Device ~at:reply_at
+                  (Protocol.encode reply))
+              (Protocol.answer ~clock:t.device_clock ~ka:p.ka ~loaded:p.id
+                 ~genesis msg))
       frames
+  end
 
 (* ---- the service loop ------------------------------------------------- *)
 
 let step t =
   let at = t.now in
   apply_due_faults t;
-  if at mod t.cfg.epoch_slices = 0 then begin
+  if at mod epoch_slices = 0 then begin
     (* Seals the outgoing batch and clears the measurement cache: a
        verdict cached under one nonce epoch must not answer the next. *)
-    Aggregator.begin_epoch t.aggregator ~epoch:(at / t.cfg.epoch_slices);
+    Aggregator.begin_epoch t.aggregator ~epoch:(at / epoch_slices);
     if t.obs <> None then ignore (epoch_corr t)
   end;
   (* Start queued sessions up to the in-flight cap. *)
-  while t.inflight_n < t.cfg.max_inflight && not (Queue.is_empty t.pending_q) do
+  while t.inflight_n < max_inflight && not (Queue.is_empty t.pending_q) do
     let s = Queue.pop t.pending_q in
     s.started_at <- at;
     Hashtbl.replace t.by_seq (s.s_serial, Verifier.seq s.verifier) s;
@@ -789,7 +745,7 @@ let step t =
     (fun s ->
       if
         Verifier.outcome s.verifier = Verifier.Pending
-        && at - s.started_at >= t.cfg.deadline_slices
+        && at - s.started_at >= deadline_slices
       then settle t s ~verdict:V_timed_out
       else begin
         (match Verifier.poll s.verifier ~at with
@@ -911,8 +867,8 @@ let report_of t ~load_slices ~arrival_permille ~think =
     queue_bound = t.cfg.max_pending;
     p50_slices = percentile sorted 50;
     p99_slices = percentile sorted 99;
-    p50_cycles = percentile sorted 50 * t.cfg.slice_cycles;
-    p99_cycles = percentile sorted 99 * t.cfg.slice_cycles;
+    p50_cycles = percentile sorted 50 * slice_cycles;
+    p99_cycles = percentile sorted 99 * slice_cycles;
     throughput_per_kslice =
       (t.attested + t.refused + t.timed_out + t.cfa_rejected) * 1000 / total;
     quarantined = List.sort compare t.quarantined_serials;
@@ -1012,9 +968,8 @@ let run ?(config = default_config) ?(faults = false) ?(loss_percent = 10)
      so the queue empties in bounded time.  The cap is a backstop. *)
   let drain_cap =
     t.now
-    + ((config.max_pending / max 1 config.max_inflight) + 3)
-      * config.deadline_slices
-    + config.backoff.Verifier.cap_slices
+    + (((config.max_pending / max_inflight) + 3) * deadline_slices)
+    + backoff.Verifier.cap_slices
   in
   while
     (t.inflight_n > 0 || not (Queue.is_empty t.pending_q)) && t.now < drain_cap

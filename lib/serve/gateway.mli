@@ -13,55 +13,46 @@
 
     - {b Admission control}: arrivals queue in a bounded pending queue;
       when it is full the gateway sheds the session with a typed {!Busy}
-      refusal instead of growing without bound.  At most
-      [max_inflight] sessions run concurrently.
+      refusal instead of growing without bound.  At most 128 sessions
+      run concurrently.
     - {b Rate limiting}: a per-device token bucket; a device hammering
       the gateway is refused {!Rate_limited} without consuming protocol
       resources.
-    - {b Deadlines}: every started session carries a hard deadline on
-      top of the verifier's own retransmit schedule; crossing it settles
-      the session as timed out, so no session can pin gateway state
-      forever.
+    - {b Deadlines}: every started session carries a hard deadline (96
+      slices) on top of the verifier's own retransmit schedule (6
+      attempts under {!Tytan_netsim.Verifier.default_backoff}); crossing
+      it settles the session as timed out, so no session can pin gateway
+      state forever.
     - {b Device-state store}: per-device keys and breaker state live in
       a bounded LRU store; above capacity the least-recently-used entry
       is evicted and the key re-derived (and re-charged) on the device's
       next arrival.  Eviction is deterministic and O(1): the oldest
       last use goes first, and among devices last used in the same slice
       the smallest serial, compared as a string.
-    - {b Circuit breaker}: a device whose sessions repeatedly time out
-      or fail MAC checks is quarantined for a while — its arrivals are
-      refused {!Quarantined} — so a broken or hostile device cannot
-      monopolise the retransmit budget.
+    - {b Circuit breaker}: a device whose sessions time out or fail MAC
+      checks three times in a row is quarantined for 256 slices — its
+      arrivals are refused {!Quarantined} — so a broken or hostile
+      device cannot monopolise the retransmit budget.
 
-    The gateway is a discrete-event simulation over slices, seeded end
-    to end: the same [(devices, slices, arrival rate, seed, faults)]
-    tuple reproduces verdict counts, latency percentiles and shed
-    counters bit for bit.  {!Tytan_fault.Fault_plan} supplies the
-    network-layer chaos vocabulary ([Burst_loss], [Device_stall],
-    [Late_reply]); this module applies it.  See DESIGN.md §14. *)
-
-open Tytan_netsim
+    The gateway is a discrete-event simulation over slices of a nominal
+    32 000 cycles, with a 64-slice aggregator nonce epoch, seeded end to
+    end: the same [(devices, slices, arrival rate, seed, faults)] tuple
+    reproduces verdict counts, latency percentiles and shed counters bit
+    for bit.  The network-layer chaos vocabulary ({!fault}) is the
+    gateway's own: it draws the schedule and applies it.  See DESIGN.md
+    §14. *)
 
 type config = {
   max_pending : int;  (** pending-queue bound; beyond it arrivals shed *)
-  max_inflight : int;  (** concurrent active sessions *)
   bucket_capacity : int;  (** per-device token-bucket burst size *)
   bucket_refill_slices : int;  (** slices per token refilled, ≥ 1 *)
   store_capacity : int;  (** LRU device-state entries kept, ≥ 1 *)
-  deadline_slices : int;  (** hard per-session deadline once started *)
-  max_attempts : int;  (** verifier retransmit budget per session *)
-  backoff : Verifier.backoff;  (** retransmit schedule *)
-  breaker_threshold : int;
-      (** consecutive failed sessions before a device is quarantined *)
-  quarantine_slices : int;  (** how long a tripped breaker holds *)
-  epoch_slices : int;  (** aggregator nonce-epoch length, ≥ 1 *)
-  slice_cycles : int;  (** nominal cycles per slice, for latency rows *)
 }
+(** The four limits a caller sizes; the rest of the regime (above) is
+    fixed. *)
 
 val default_config : config
-(** pending 64, inflight 128, bucket 4 cap / 16 slices per token,
-    store 512, deadline 96, 6 attempts under {!Verifier.default_backoff},
-    breaker 3, quarantine 256, epoch 64, 32 000 cycles per slice. *)
+(** pending 64, bucket 4 cap / 16 slices per token, store 512. *)
 
 type refusal =
   | Busy  (** pending queue full — load shed *)
@@ -92,13 +83,11 @@ val create :
   t
 (** A gateway over [devices] provisioned provers on seeded lossy links
     (default 10% loss; with [~faults] the links also corrupt, duplicate
-    and reorder, and a seeded {!Tytan_fault.Fault_plan} schedule of
-    burst-loss, device-stall and late-reply events over the first
+    and reorder, and the {!network_faults} schedule over the first
     [fault_horizon] slices is applied as it falls due).
 
     Raises [Invalid_argument] if [devices], or the config's
-    [store_capacity], [epoch_slices] or [bucket_refill_slices], is below
-    1.
+    [store_capacity] or [bucket_refill_slices], is below 1.
 
     With [?obs] every admission, shed, frame, verdict, breaker trip and
     epoch seal is recorded in the flight recorder: epoch correlation
@@ -135,10 +124,27 @@ val stale_frames : t -> int
 (** Well-formed frames whose sequence matches no live session — late
     replies that crossed a deadline. *)
 
+type fault =
+  | Burst_loss of { duration : int }
+      (** Correlated outage: the device's link drops every frame (both
+          directions) for [duration] slices, via
+          {!Tytan_netsim.Link.set_burst} — the fade the retransmit
+          budget must ride out. *)
+  | Device_stall of { duration : int }
+      (** The device answers no challenge for [duration] slices (wedged
+          firmware, deep sleep): frames still flow, the prover just
+          never replies. *)
+  | Late_reply of { extra : int; duration : int }
+      (** For [duration] slices the device's replies leave [extra]
+          slices late — late enough to cross a session deadline and
+          arrive as a stale frame. *)
+
 val network_faults :
-  seed:int -> devices:int -> horizon:int -> Tytan_fault.Fault_plan.event list
-(** The seeded gateway-layer fault schedule [create ~faults:true] uses —
-    exposed so tests can pin its determinism. *)
+  seed:int -> devices:int -> horizon:int -> (int * int * fault) list
+(** The seeded gateway-layer fault schedule [create ~faults:true] uses,
+    as [(slice, device index, fault)] triples stably sorted by slice,
+    spread over the first three quarters of [horizon] — exposed so tests
+    can pin its determinism. *)
 
 type arrival_mode =
   | Open_loop
@@ -171,7 +177,7 @@ type report = {
   queue_bound : int;  (** the configured [max_pending], for the record *)
   p50_slices : int;  (** median admitted-to-settled latency *)
   p99_slices : int;
-  p50_cycles : int;  (** the same at [slice_cycles] per slice *)
+  p50_cycles : int;  (** the same at 32 000 cycles per slice *)
   p99_cycles : int;
   throughput_per_kslice : int;  (** settled sessions per 1000 slices *)
   quarantined : string list;  (** serials ever quarantined, sorted *)

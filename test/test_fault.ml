@@ -96,41 +96,6 @@ let prng_props =
         && unmasked Fun.id = parent_draws ~seed ~n:64 Fun.id);
   ]
 
-let serial_tests =
-  [
-    Alcotest.test_case "device_of is the exact inverse of serial_of" `Quick
-      (fun () ->
-        List.iter
-          (fun devices ->
-            let inside =
-              [ 0; 1; 5; 23; 4095; 99_999; 100_000; devices - 1 ]
-              @ List.init 64 (fun k -> k * devices / 64)
-            in
-            List.iter
-              (fun i ->
-                if i < devices then
-                  Alcotest.(check (option int))
-                    (Fault_plan.serial_of i) (Some i)
-                    (Fault_plan.device_of ~devices (Fault_plan.serial_of i)))
-              inside;
-            List.iter
-              (fun i ->
-                Alcotest.(check (option int))
-                  (Printf.sprintf "%d outside %d devices" i devices)
-                  None
-                  (Fault_plan.device_of ~devices (Fault_plan.serial_of i)))
-              [ devices; devices + 7; 100_000 * (1 + (devices / 100_000)) ];
-            List.iter
-              (fun name ->
-                Alcotest.(check (option int)) (Printf.sprintf "%S" name) None
-                  (Fault_plan.device_of ~devices name))
-              [
-                "dev-5"; "dev-000005"; "dev-00005 "; "DEV-00005"; "dev--0001";
-                "dev-+0001"; "dev-"; "";
-              ])
-          [ 1; 24; 4096; 100_001 ]);
-  ]
-
 (* --- Memory fault hooks ------------------------------------------------------ *)
 
 let null_device ~name ~base value =
@@ -644,9 +609,7 @@ let tycheck_fuzz_tests =
 let () =
   Alcotest.run "fault"
     [
-      ("plan",
-        plan_tests @ serial_tests
-        @ List.map QCheck_alcotest.to_alcotest prng_props);
+      ("plan", plan_tests @ List.map QCheck_alcotest.to_alcotest prng_props);
       ("memory-hooks", memory_tests);
       ("watchdog", watchdog_tests);
       ("link-faults", link_tests);

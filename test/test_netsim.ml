@@ -5,6 +5,7 @@ open Tytan_core
 open Tytan_netsim
 module Tasks = Tytan_tasks.Task_lib
 module Cpu = Tytan_machine.Cpu
+module Cycles = Tytan_machine.Cycles
 module Word = Tytan_machine.Word
 module Memory = Tytan_machine.Memory
 module Monitor = Tytan_cfa.Monitor
@@ -743,12 +744,125 @@ let wake_property_tests =
              ops));
   ]
 
+(* --- The honest device's answer ---------------------------------------------- *)
+
+(* [Protocol.answer] is the one honest prover the swarm, the gateway and
+   the OTA installer share.  The genesis is handed over lazily so that
+   forcing it where it should not be forced fails the test. *)
+let answer_tests =
+  let loaded = Task_id.of_image (Bytes.of_string "answer-test-firmware") in
+  let other = Task_id.of_image (Bytes.of_string "answer-other-firmware") in
+  let ka = Attestation.derive_ka ~platform_key:(Bytes.make 20 'A') in
+  let nonce = Bytes.of_string "answer-nonce" in
+  let genesis = Attestation.cf_genesis ~id:loaded in
+  let unforced = lazy (Alcotest.fail "genesis forced") in
+  let answer ?genesis msg =
+    Protocol.answer ~clock:(Cycles.create ()) ~ka ~loaded ?genesis msg
+  in
+  let challenge id = Protocol.Challenge { seq = 7; id; nonce } in
+  let cfa_challenge id = Protocol.CfaChallenge { seq = 7; id; nonce } in
+  [
+    Alcotest.test_case "a challenge for the loaded identity gets a response"
+      `Quick (fun () ->
+        match answer ~genesis:unforced (challenge loaded) with
+        | Some (Protocol.Response { seq; report }) ->
+            check_int "seq echoed" 7 seq;
+            check_bool "verifies" true
+              (Attestation.verify ~ka report ~expected:loaded ~nonce)
+        | _ -> Alcotest.fail "no response");
+    Alcotest.test_case "a challenge for any other identity is refused" `Quick
+      (fun () ->
+        List.iter
+          (fun msg ->
+            check_bool "refusal" true
+              (answer ~genesis:unforced msg = Some (Protocol.Refusal { seq = 7 })))
+          [ challenge other; cfa_challenge other ]);
+    Alcotest.test_case "a cfa challenge with a genesis gets the empty log"
+      `Quick (fun () ->
+        match answer ~genesis:(lazy genesis) (cfa_challenge loaded) with
+        | Some (Protocol.CfaResponse { seq; report }) ->
+            check_int "seq echoed" 7 seq;
+            check_bool "authentic" true
+              (Attestation.verify_cfa ~ka report ~expected:loaded ~nonce);
+            check_bool "quiescent" true
+              (Verifier.quiescent ~genesis report = Ok ())
+        | _ -> Alcotest.fail "no cfa response");
+    Alcotest.test_case "without a genesis a cfa challenge goes unanswered"
+      `Quick (fun () ->
+        check_bool "loaded identity" true (answer (cfa_challenge loaded) = None);
+        check_bool "other identity" true (answer (cfa_challenge other) = None));
+    Alcotest.test_case "only challenges are answered" `Quick (fun () ->
+        let mac = Bytes.make 20 'm' in
+        List.iter
+          (fun msg ->
+            check_bool "no answer" true (answer ~genesis:unforced msg = None))
+          [
+            Protocol.Response
+              { seq = 1; report = { Attestation.id = loaded; nonce; mac } };
+            Protocol.Refusal { seq = 1 };
+            Protocol.CfaResponse
+              {
+                seq = 1;
+                report =
+                  {
+                    Attestation.id = loaded;
+                    nonce;
+                    cf_digest = genesis;
+                    base_digest = genesis;
+                    edge_count = 0;
+                    edges = [||];
+                    mac;
+                  };
+              };
+            Protocol.UpdateOffer
+              { seq = 1; id = loaded; version = 2; size = 4; digest = mac; mac };
+            Protocol.UpdateChunk { seq = 1; offset = 0; data = nonce };
+            Protocol.UpdateAck { seq = 1; status = Protocol.Ota_ready; arg = 0 };
+          ]);
+    Alcotest.test_case "only the MACs are charged" `Quick (fun () ->
+        let charged msg =
+          let clock = Cycles.create () in
+          ignore
+            (Protocol.answer ~clock ~ka ~loaded
+               ~genesis:(lazy (Attestation.cf_genesis ~id:loaded))
+               msg);
+          Cycles.now clock
+        in
+        let reference f =
+          let clock = Cycles.create () in
+          ignore (Cost_model.charge_hashing clock f);
+          Cycles.now clock
+        in
+        check_int "challenge"
+          (reference (fun () -> Attestation.expected_mac ~ka ~id:loaded ~nonce))
+          (charged (challenge loaded));
+        check_int "cfa challenge"
+          (reference (fun () ->
+               Attestation.expected_cfa_mac ~ka ~id:loaded ~nonce
+                 ~cf_digest:genesis ~base_digest:genesis ~edge_count:0))
+          (charged (cfa_challenge loaded));
+        check_int "refusal" 0 (charged (challenge other)));
+    Alcotest.test_case "a challenge with byte 0 xor 0x05 is a cfa challenge"
+      `Quick (fun () ->
+        (* 'C' xor 0x05 = 'F': the one corruption of a plain challenge
+           that reaches a prover as a control-flow challenge. *)
+        let frame = Protocol.encode (challenge loaded) in
+        Bytes.set frame 0 (Char.chr (Char.code (Bytes.get frame 0) lxor 0x05));
+        match Protocol.decode frame with
+        | Ok (Protocol.CfaChallenge { seq; id; nonce = n }) ->
+            check_int "seq" 7 seq;
+            check_bool "id" true (Task_id.equal id loaded);
+            check_bool "nonce" true (Bytes.equal n nonce)
+        | _ -> Alcotest.fail "not a cfa challenge");
+  ]
+
 let () =
   Alcotest.run "netsim"
     [
       ("link", link_tests);
       ("protocol", protocol_tests);
       ("protocol-properties", protocol_property_tests);
+      ("answer", answer_tests);
       ("cosim", cosim_tests);
       ("cfa-cosim", cfa_cosim_tests);
       ("verifier-session", session_tests);

@@ -7,7 +7,6 @@
 open Tytan_netsim
 module Gateway = Tytan_serve.Gateway
 module Swarm = Tytan_provision.Swarm
-module Fault_plan = Tytan_fault.Fault_plan
 module Obs = Tytan_obs.Obs
 
 let check_bool = Alcotest.(check bool)
@@ -216,8 +215,6 @@ let store_tests =
            = model_evictions ~capacity slices));
     rejects_config "store_capacity"
       { Gateway.default_config with Gateway.store_capacity = 0 };
-    rejects_config "epoch_slices"
-      { Gateway.default_config with Gateway.epoch_slices = 0 };
     rejects_config "bucket_refill_slices"
       { Gateway.default_config with Gateway.bucket_refill_slices = 0 };
   ]
@@ -248,11 +245,17 @@ let determinism_tests =
     Alcotest.test_case "fault schedule is a pure function of its tuple" `Quick
       (fun () ->
         let f () = Gateway.network_faults ~seed:42 ~devices:24 ~horizon:200 in
-        check_bool "same plan twice" true (f () = f ());
+        let plan = f () in
+        check_bool "same plan twice" true (plan = f ());
         check_bool "plans fire within the horizon" true
-          (List.for_all
-             (fun (e : Fault_plan.event) -> e.Fault_plan.at_tick < 200)
-             (f ())));
+          (List.for_all (fun (slice, _, _) -> slice < 200) plan);
+        let rec ordered = function
+          | (a, _, _) :: ((b, _, _) :: _ as rest) -> a <= b && ordered rest
+          | _ -> true
+        in
+        check_bool "ordered by slice" true (ordered plan);
+        check_bool "devices in range" true
+          (List.for_all (fun (_, d, _) -> 0 <= d && d < 24) plan));
   ]
 
 (* --- Fuzz: hostile frames land in counters, never exceptions ---------------- *)
