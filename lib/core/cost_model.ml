@@ -51,12 +51,31 @@ let counter_increment = 180
 let ota_offer_check = 260
 let ota_chunk_base = 96
 
+(* Both billed counts packed into one immediate int, SHA-1 in the low
+   32 bits, so a mark allocates nothing.  Marks wrap; the difference of
+   two still decodes exactly while the span between them billed fewer
+   than 2^32 SHA-1 and 2^30 SHA-256 compressions. *)
+type hashing = int
+
+let sha1_part h = h land 0xFFFF_FFFF
+let sha256_part h = h lsr 32
+
+let hashing_mark () =
+  Tytan_crypto.Sha1.domain_compressions ()
+  + (Tytan_crypto.Sha256.domain_compressions () lsl 32)
+
+let hashing_since mark = hashing_mark () - mark
+
 let charge_hashing clock f =
-  let s1 = Tytan_crypto.Sha1.domain_compressions () in
-  let s2 = Tytan_crypto.Sha256.domain_compressions () in
+  let mark = hashing_mark () in
   let r = f () in
-  let d1 = Tytan_crypto.Sha1.domain_compressions () - s1 in
-  let d2 = Tytan_crypto.Sha256.domain_compressions () - s2 in
-  if d1 > 0 then Tytan_machine.Cycles.charge clock (d1 * crypto_per_compression);
-  if d2 > 0 then Tytan_machine.Cycles.charge clock (d2 * sha256_per_compression);
+  let h = hashing_since mark in
+  if sha1_part h > 0 then
+    Tytan_machine.Cycles.charge clock (sha1_part h * crypto_per_compression);
+  if sha256_part h > 0 then
+    Tytan_machine.Cycles.charge clock (sha256_part h * sha256_per_compression);
   r
+
+let replay_hashing h =
+  Tytan_crypto.Sha1.bill_domain (sha1_part h);
+  Tytan_crypto.Sha256.bill_domain (sha256_part h)

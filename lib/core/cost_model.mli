@@ -234,4 +234,35 @@ val charge_hashing : Tytan_machine.Cycles.t -> (unit -> 'a) -> 'a
     at [crypto_per_compression] and [sha256_per_compression].  The
     counters sampled are domain-local, so a charge is exact even while
     other domains hash concurrently — the one helper every engine
-    (swarm, gateway, rollout, aggregator) charges its crypto through. *)
+    (swarm, gateway, rollout, aggregator) charges its crypto through.
+    The counters count compressions {e billed}, so a result replayed
+    with {!replay_hashing} inside [f] is charged like a fresh one. *)
+
+(** {2 Replaying host-side hashing}
+
+    A pure derivation the host computed once can be reused without
+    hashing again and still cost its simulated cycles: measure what it
+    billed the calling domain ({!hashing_mark}, {!hashing_since}) and
+    replay that count on every reuse ({!replay_hashing}).  An enclosing
+    {!charge_hashing} then charges exactly what a fresh derivation
+    charged, while [Sha1.total_compressions] and
+    [Sha256.total_compressions] keep counting the compressions the host
+    performed.  [Registry]'s key table and the OTA rollout's controller
+    key are the users. *)
+
+type hashing
+(** A count of SHA-1 and SHA-256 compressions billed to one domain. *)
+
+val hashing_mark : unit -> hashing
+(** Everything billed to the calling domain so far.  Taking a mark
+    allocates nothing. *)
+
+val hashing_since : hashing -> hashing
+(** [hashing_since mark] is what the calling domain was billed since
+    [mark] was taken on it: exact while the span billed fewer than
+    2{^32} SHA-1 and 2{^30} SHA-256 compressions. *)
+
+val replay_hashing : hashing -> unit
+(** [replay_hashing h] bills the calling domain [h] again without
+    hashing: only the domain counters move ([Sha1.bill_domain],
+    [Sha256.bill_domain]). *)

@@ -12,10 +12,12 @@
 let digest_size = 20
 
 (* Process-global and per-domain compression tallies.  The global count
-   is an [Atomic.t] so concurrent domains never lose increments; the
-   per-domain count backs cycle charging ([charged]-style samplers take
-   a delta around an operation, which must not see another domain's
-   compressions interleave). *)
+   is an [Atomic.t] so concurrent domains never lose increments, and
+   counts compressions performed.  The per-domain count backs cycle
+   charging ([charged]-style samplers take a delta around an operation,
+   which must not see another domain's compressions interleave), and
+   counts compressions billed: those performed plus those a replayed
+   result bills without hashing ([bill_domain]). *)
 let global_compressions = Atomic.make 0
 let domain_compressions_key = Domain.DLS.new_key (fun () -> ref 0)
 let block_size = 64
@@ -179,6 +181,10 @@ let digest_string s = digest (Bytes.of_string s)
 let compression_count ctx = ctx.compressions
 let total_compressions () = Atomic.get global_compressions
 let domain_compressions () = !(Domain.DLS.get domain_compressions_key)
+
+let bill_domain n =
+  let c = Domain.DLS.get domain_compressions_key in
+  c := !c + n
 
 let to_hex b =
   String.concat ""

@@ -44,15 +44,20 @@ val compression_count : ctx -> int
 val to_hex : bytes -> string
 
 val total_compressions : unit -> int
-(** Process-global count of compression-function invocations across all
-    contexts.  Trusted services charge simulated cycles for crypto by
-    sampling this before and after an operation, so the cycle cost of a
-    MAC or key derivation reflects the real block count.  Backed by an
-    [Atomic.t]: exact even when several domains hash concurrently. *)
+(** Process-global count of compression-function invocations performed
+    across all contexts: a measure of host work.  Backed by an
+    [Atomic.t]: exact even when several domains hash concurrently.  A
+    replayed result ({!bill_domain}) does not move it. *)
 
 val domain_compressions : unit -> int
-(** Count of compression-function invocations performed by the {e
-    calling domain}.  Charged-cycle samplers that may run inside worker
-    domains must take deltas of this counter, not the global one —
-    otherwise another domain's hashing would be billed to this worker's
-    clock. *)
+(** Count of compressions {e billed} to the calling domain: those it
+    performed, plus those {!bill_domain} replayed.  Charged-cycle
+    samplers ([Cost_model.charge_hashing]) take deltas of this counter,
+    not the global one — otherwise another domain's hashing would be
+    billed to this worker's clock — so a result computed once and
+    replayed is charged the cycles of a fresh computation. *)
+
+val bill_domain : int -> unit
+(** [bill_domain n] adds [n] to the calling domain's billed count
+    without compressing anything; {!total_compressions} does not move.
+    [Cost_model.replay_hashing] is the one caller. *)

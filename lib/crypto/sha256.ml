@@ -10,8 +10,9 @@
 let digest_size = 32
 
 (* See sha1.ml for why there are two counters: the Atomic survives
-   concurrent domains, the DLS counter gives charged-cycle samplers a
-   delta unpolluted by other domains' hashing. *)
+   concurrent domains and counts compressions performed, the DLS counter
+   gives charged-cycle samplers a delta unpolluted by other domains'
+   hashing and counts compressions billed ([bill_domain]). *)
 let global_compressions = Atomic.make 0
 let domain_compressions_key = Domain.DLS.new_key (fun () -> ref 0)
 let block_size = 64
@@ -192,6 +193,10 @@ let digest_string s = digest (Bytes.of_string s)
 let compression_count ctx = ctx.compressions
 let total_compressions () = Atomic.get global_compressions
 let domain_compressions () = !(Domain.DLS.get domain_compressions_key)
+
+let bill_domain n =
+  let c = Domain.DLS.get domain_compressions_key in
+  c := !c + n
 
 let to_hex b =
   String.concat ""

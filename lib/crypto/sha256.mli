@@ -32,13 +32,17 @@ val compression_count : ctx -> int
 val to_hex : bytes -> string
 
 val total_compressions : unit -> int
-(** Process-global count of compression-function invocations across all
-    contexts, mirroring {!Sha1.total_compressions}: services that charge
-    simulated cycles for SHA-256 work (the Merkle aggregator) sample this
-    before and after an operation.  Backed by an [Atomic.t]: exact even
-    when several domains hash concurrently. *)
+(** Process-global count of compression-function invocations performed
+    across all contexts, mirroring {!Sha1.total_compressions}: a measure
+    of host work, which a replayed result does not move.  Backed by an
+    [Atomic.t]: exact even when several domains hash concurrently. *)
 
 val domain_compressions : unit -> int
-(** Per-calling-domain compression count, mirroring
-    {!Sha1.domain_compressions}: the delta source for charged-cycle
-    samplers that may run inside worker domains. *)
+(** Compressions billed to the calling domain — performed, plus
+    replayed by {!bill_domain} — mirroring {!Sha1.domain_compressions}:
+    the delta source for charged-cycle samplers that may run inside
+    worker domains. *)
+
+val bill_domain : int -> unit
+(** Mirrors {!Sha1.bill_domain}: add [n] to the calling domain's billed
+    count only. *)

@@ -22,7 +22,7 @@ type delta = { at_epoch : int; new_root : bytes; changed : delta_entry list }
 
 (* One verification shard: everything a worker domain touches while
    checking reports for its device range.  Shards share nothing mutable
-   with each other — per-shard key/MAC-state/measurement caches, a
+   with each other — per-shard MAC-state/measurement caches, a
    per-shard admission queue drained sequentially between slices, and a
    per-shard cycle clock merged into the main clock by commutative sum.
    That is the whole determinism argument at this layer: a device is
@@ -32,7 +32,6 @@ type delta = { at_epoch : int; new_root : bytes; changed : delta_entry list }
 type shard = {
   sclock : Cycles.t;
   mutable absorbed : int;  (* sclock cycles already merged into clock *)
-  keys : (string, bytes) Hashtbl.t;
   mac_states : (string, Crypto.Hmac.state) Hashtbl.t;
   cache : (string, entry) Hashtbl.t;
   mutable queue : (string * Attestation.report) list;  (* newest first *)
@@ -77,7 +76,6 @@ let make_shard clock =
   {
     sclock = clock;
     absorbed = 0;
-    keys = Hashtbl.create 64;
     mac_states = Hashtbl.create 64;
     cache = Hashtbl.create 64;
     queue = [];
@@ -270,23 +268,15 @@ let begin_epoch t ~epoch =
   Hashtbl.reset t.current_roots;
   t.epoch <- epoch
 
-let key_of t sh serial =
-  match Hashtbl.find_opt sh.keys serial with
-  | Some ka -> ka
-  | None ->
-      let ka = Cost_model.charge_hashing sh.sclock (fun () -> t.ka_of ~serial) in
-      sh.key_derivations <- sh.key_derivations + 1;
-      Hashtbl.replace sh.keys serial ka;
-      ka
-
-(* The per-device HMAC key schedule is computed once per campaign per
-   shard; after that an expected-MAC miss costs only the two message
-   compressions. *)
+(* The per-device key and HMAC key schedule are derived once per
+   campaign per shard; after that an expected-MAC miss costs only the two
+   message compressions. *)
 let mac_state_of t sh serial =
   match Hashtbl.find_opt sh.mac_states serial with
   | Some st -> st
   | None ->
-      let ka = key_of t sh serial in
+      let ka = Cost_model.charge_hashing sh.sclock (fun () -> t.ka_of ~serial) in
+      sh.key_derivations <- sh.key_derivations + 1;
       let st =
         Cost_model.charge_hashing sh.sclock (fun () ->
             Crypto.Hmac.prepare ~key:ka)

@@ -351,16 +351,17 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
         let serial = Fault_plan.serial_of i in
         let link = Link.for_device ~seed ~salt:29 ~faults ~loss_percent i in
         let platform_key = platform_key_of ~serial in
-        (* Device-side boot-time key derivation, charged to the device;
-           the controller derives its copy from the registry side. *)
-        let device_ka =
+        (* Device-side boot-time key derivation, charged to the device.
+           The controller's copy is the same bytes: its derivation is
+           billed to the controller by replay, not hashed again. *)
+        let mark = Cost_model.hashing_mark () in
+        let ka =
           Cost_model.charge_hashing device_clock (fun () ->
               Attestation.derive_ka ~platform_key)
         in
-        let ka =
-          Cost_model.charge_hashing controller_clock (fun () ->
-              Attestation.derive_ka ~platform_key)
-        in
+        let ka_bill = Cost_model.hashing_since mark in
+        Cost_model.charge_hashing controller_clock (fun () ->
+            Cost_model.replay_hashing ka_bill);
         let counter =
           Devices.Monotonic_counter.create device_clock
             ~name:(serial ^ "/ctr") ~base:0xF000_6000
@@ -369,7 +370,7 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
         in
         let nvm = ref None in
         let installer =
-          Installer.create ~serial ~ka:device_ka ~clock:device_clock ~counter
+          Installer.create ~serial ~ka ~clock:device_clock ~counter
             ~loaded:incumbent_id
             ~persist:(fun blob -> nvm := Some blob)
             ()

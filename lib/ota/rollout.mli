@@ -111,8 +111,9 @@ val run :
 (** Run a campaign.  [canary] must be in [1..devices] ([canary =
     devices] is a flat rollout — no gate, every device is a canary).
     [platform_key_of] supplies each device's platform key (normally
-    [Registry.platform_key]); Ka is derived on both sides and the
-    derivations charged to the respective clocks.  [incumbent] is the
+    [Registry.platform_key]); Ka is derived once and shared by the
+    device and the controller, and each clock is charged one derivation
+    (the controller's by [Cost_model.replay_hashing]).  [incumbent] is the
     image every device boots running (counter 0).  With [?faults] the
     {!fault_events} schedule arms truncated update frames, counter-reset
     attempts and mid-swap canary crashes, and the links additionally

@@ -187,11 +187,11 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     Array.init devices (fun i ->
         let serial = Fault_plan.serial_of i in
         let link = Link.for_device ~seed ~salt:13 ~faults ~loss_percent i in
-        let platform_key = Registry.platform_key registry ~serial in
+        Registry.provision registry ~serial;
         (* Device-side boot-time key derivation, same in every mode. *)
         let ka =
           Cost_model.charge_hashing device_clock (fun () ->
-              Attestation.derive_ka ~platform_key)
+              Registry.device_key registry ~serial)
         in
         {
           serial;
@@ -329,10 +329,9 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
         if not rebooted.(d) then begin
           rebooted.(d) <- true;
           let p = provers.(d) in
-          let platform_key = Registry.platform_key registry ~serial:p.serial in
           p.ka <-
             Cost_model.charge_hashing device_clock (fun () ->
-                Attestation.derive_ka ~platform_key)
+                Registry.device_key registry ~serial:p.serial)
         end)
       churn.(e);
     let base = !obs_at in
@@ -368,17 +367,18 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     let sessions : Verifier.t option array = Array.make devices None in
     (* Correlation ids and admission events are recorded sequentially,
        in device order, before any parallel work touches the epoch. *)
-    Array.iteri
-      (fun d (p : prover) ->
-        let session = Printf.sprintf "%s/e%d" p.serial e in
-        (match obs with
-        | Some log -> ignore (Obs.Log.mint log ~parent:epoch_corr session)
-        | None -> ());
-        if challenge.(d) then
-          observe ~corr:session ~at:base
-            (Obs.Event.Session_admitted
-               { serial = p.serial; kind = mode_label mode }))
-      provers;
+    if obs <> None then
+      Array.iteri
+        (fun d (p : prover) ->
+          let session = Printf.sprintf "%s/e%d" p.serial e in
+          (match obs with
+          | Some log -> ignore (Obs.Log.mint log ~parent:epoch_corr session)
+          | None -> ());
+          if challenge.(d) then
+            observe ~corr:session ~at:base
+              (Obs.Event.Session_admitted
+                 { serial = p.serial; kind = mode_label mode }))
+        provers;
     (* Session creation fans out: the scalar baseline re-derives Ka per
        session (the dominant cost), charged to the worker's clock. *)
     Domain_pool.run pool (fun w ->

@@ -221,10 +221,10 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
     Array.init devices (fun i ->
         let serial = Fault_plan.serial_of i in
         let link = Link.for_device ~seed ~salt:31 ~faults ~loss_percent i in
-        let platform_key = Registry.platform_key registry ~serial in
+        Registry.provision registry ~serial;
         let ka =
           Cost_model.charge_hashing device_clock (fun () ->
-              Attestation.derive_ka ~platform_key)
+              Registry.device_key registry ~serial)
         in
         {
           serial;

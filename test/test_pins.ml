@@ -14,7 +14,9 @@
    gateway's scanning device store, which folded every entry to find its
    eviction victim, before the store kept its entries on a ring in
    eviction order (DESIGN.md §14): evicting in O(1) must pick the same
-   victims.
+   victims.  [swarm/incremental/faults/seed-758] was recorded from the
+   engines as they stood before the registry's key table (DESIGN.md
+   §13): replaying a derivation's charge must not move it.
 
    The platform pin is the instruction, cycle and context-switch count
    and the per-task cycle attribution of the use case, recorded from the
@@ -41,17 +43,18 @@ let digest_line report =
 
 (* --- the campaigns ------------------------------------------------------- *)
 
+let swarm_run ~mode ~seed ~faults ~steady ~churn_permille =
+  digest_line
+    (Swarm.to_string
+       (Swarm.run ~mode ~devices:96 ~epochs:3 ~seed ~faults ~steady
+          ~churn_permille ()))
+
 let swarm_cases =
   List.concat_map
     (fun mode ->
       List.concat_map
         (fun seed ->
-          let run ~faults ~steady ~churn_permille =
-            digest_line
-              (Swarm.to_string
-                 (Swarm.run ~mode ~devices:96 ~epochs:3 ~seed ~faults ~steady
-                    ~churn_permille ()))
-          in
+          let run = swarm_run ~mode ~seed in
           let name kind =
             Printf.sprintf "swarm/%s/%s/seed-%d" (Swarm.mode_label mode) kind seed
           in
@@ -67,6 +70,16 @@ let swarm_cases =
           ])
         [ 1; 2; 3 ])
     [ Swarm.Scalar; Swarm.Incremental ]
+  @ [
+      (* Seed 758 is the first of 1..10000 whose faulted campaign in this
+         shape corrupts a challenge's tag from 'C' to 'F' on the way to a
+         prover.  The prover runs no CFA monitor, so it must leave that
+         [CfaChallenge] unanswered (DESIGN.md §13). *)
+      ( "swarm/incremental/faults/seed-758",
+        fun () ->
+          swarm_run ~mode:Swarm.Incremental ~seed:758 ~faults:true
+            ~steady:false ~churn_permille:0 );
+    ]
 
 let gateway_cases =
   let run ?config ?arrival ?(faults = false) ?loss_percent ~devices ~slices
@@ -231,6 +244,7 @@ let pins =
     ("swarm/incremental/steady-churn-10/seed-2", "digest: sha1:780cf4fdd7ec07ca6142d2689a848cee28bb8f7e");
     ("swarm/incremental/faults/seed-3", "digest: sha1:71ed4bd624b0ae3d1c82a13eaeb14d91cf65f4a7");
     ("swarm/incremental/steady-churn-10/seed-3", "digest: sha1:4d0f2cab54047148b54feddbe7425a137302634b");
+    ("swarm/incremental/faults/seed-758", "digest: sha1:a449143912a267a1419953f42e52f787b54db3b0");
     ("gateway/open-loop", "digest: sha1:fa610d5bf0dc7c82565dd7824fba980e0a53edba");
     ("gateway/closed-loop", "digest: sha1:bfc46eca951a3433de1ee5bb7324df428d1e54e3");
     ("gateway/faults", "digest: sha1:c524877614a9b024e7f7c2e3de3bf8867c51d0d6");

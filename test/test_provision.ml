@@ -43,6 +43,146 @@ let registry_tests =
           = Attestation.derive_ka ~platform_key:kp));
   ]
 
+(* --- the key table against fresh derivations ----------------------------- *)
+
+module Cycles = Tytan_machine.Cycles
+module Sha1 = Tytan_crypto.Sha1
+
+let pool = [| "ecu-0"; "ecu-1"; "ecu-2"; "ecu-3" |]
+
+(* The oracle for one serial, derived fresh with [Hmac] and
+   [Attestation.derive_ka]: Ka, the cycles each step charges, and the
+   SHA-1 compressions a whole derivation performs. *)
+type fresh = { ka : bytes; kp_cycles : int; ka_cycles : int; compressions : int }
+
+let fresh serial =
+  let kp_clock = Cycles.create () and ka_clock = Cycles.create () in
+  let c0 = Sha1.total_compressions () in
+  let kp =
+    Cost_model.charge_hashing kp_clock (fun () ->
+        Tytan_crypto.Hmac.mac_string ~key:master ("device/" ^ serial))
+  in
+  let ka =
+    Cost_model.charge_hashing ka_clock (fun () ->
+        Attestation.derive_ka ~platform_key:kp)
+  in
+  {
+    ka;
+    kp_cycles = Cycles.now kp_clock;
+    ka_cycles = Cycles.now ka_clock;
+    compressions = Sha1.total_compressions () - c0;
+  }
+
+type key_call = Provision of int | Device of int | Verifier of int
+
+let show_call = function
+  | Provision i -> "provision " ^ pool.(i)
+  | Device i -> "device " ^ pool.(i)
+  | Verifier i -> "verifier " ^ pool.(i)
+
+let calls_arb =
+  QCheck.make
+    ~print:(fun calls -> String.concat "; " (List.map show_call calls))
+    QCheck.Gen.(
+      list_size (int_range 1 24)
+        (map2
+           (fun who i ->
+             match who with
+             | 0 -> Provision i
+             | 1 -> Device i
+             | _ -> Verifier i)
+           (int_bound 2)
+           (int_bound (Array.length pool - 1))))
+
+(* Every device and verifier call returns the oracle's bytes and charges
+   the oracle's cycles: the Ka step for a device, both steps for a
+   verifier.  A device whose keys were never recorded is refused and
+   charged nothing.  The host absorbs the master's key pads once, at
+   [create], and hashes the rest of each recorded serial's derivation
+   once. *)
+let key_table_matches_fresh =
+  let oracle = Array.map fresh pool in
+  let pads =
+    let c0 = Sha1.total_compressions () in
+    ignore (Tytan_crypto.Hmac.prepare ~key:master);
+    Sha1.total_compressions () - c0
+  in
+  QCheck.Test.make ~count:300
+    ~name:"key table: fresh bytes and charges, one derivation per serial"
+    calls_arb (fun calls ->
+      let c0 = Sha1.total_compressions () in
+      let r = Registry.create ~master in
+      let recorded = Array.make (Array.length pool) false in
+      let charged f =
+        let clock = Cycles.create () in
+        let v = Cost_model.charge_hashing clock f in
+        (v, Cycles.now clock)
+      in
+      let call_ok = function
+        | Provision i ->
+            Registry.provision r ~serial:pool.(i);
+            recorded.(i) <- true;
+            true
+        | Device i when recorded.(i) ->
+            let o = oracle.(i) in
+            charged (fun () -> Registry.device_key r ~serial:pool.(i))
+            = (o.ka, o.ka_cycles)
+        | Device i ->
+            charged (fun () ->
+                match Registry.device_key r ~serial:pool.(i) with
+                | _ -> false
+                | exception Invalid_argument _ -> true)
+            = (true, 0)
+        | Verifier i ->
+            let o = oracle.(i) in
+            recorded.(i) <- true;
+            charged (fun () -> Registry.attestation_key r ~serial:pool.(i))
+            = (o.ka, o.kp_cycles + o.ka_cycles)
+      in
+      List.for_all call_ok calls
+      && Sha1.total_compressions () - c0
+         = Array.fold_left ( + ) pads
+             (Array.mapi
+                (fun i o -> if recorded.(i) then o.compressions - pads else 0)
+                oracle))
+
+let key_table_tests =
+  [
+    QCheck_alcotest.to_alcotest key_table_matches_fresh;
+    Alcotest.test_case "two domains replay onto their own clocks" `Quick
+      (fun () ->
+        (* Both domains hit one provisioned registry at once, each under
+           its own clock: each is charged n fresh derivations, and the
+           host hashes nothing. *)
+        let r = Registry.create ~master in
+        Array.iter (fun serial -> Registry.provision r ~serial) pool;
+        let o = fresh pool.(0) in
+        let n = 20_000 in
+        let ready = Atomic.make 0 in
+        let c0 = Sha1.total_compressions () in
+        let worker () =
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do
+            Domain.cpu_relax ()
+          done;
+          let clock = Cycles.create () in
+          Cost_model.charge_hashing clock (fun () ->
+              for i = 1 to n do
+                let serial = pool.(i land 3) in
+                ignore (Registry.attestation_key r ~serial);
+                ignore (Registry.device_key r ~serial)
+              done);
+          Cycles.now clock
+        in
+        let other = Domain.spawn worker in
+        let mine = worker () in
+        let theirs = Domain.join other in
+        let each = n * (o.kp_cycles + (2 * o.ka_cycles)) in
+        check_int "this domain's clock" each mine;
+        check_int "the other domain's clock" each theirs;
+        check_int "no compression performed" 0 (Sha1.total_compressions () - c0));
+  ]
+
 let firmware () = Tasks.counter ()
 
 let fleet_tests =
@@ -149,4 +289,4 @@ let fleet_tests =
 
 let () =
   Alcotest.run "provision"
-    [ ("registry", registry_tests); ("fleet", fleet_tests) ]
+    [ ("registry", registry_tests @ key_table_tests); ("fleet", fleet_tests) ]
