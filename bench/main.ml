@@ -1144,11 +1144,8 @@ let run_vet_bench () =
   List.iter
     (fun (name, telf) ->
       let slots = telf.Telf.text_size / Isa.width in
-      let base = Cost_model.vet_base + (Cost_model.vet_per_instruction * slots) in
-      let flow =
-        Cost_model.vet_base
-        + ((Cost_model.vet_per_instruction + Cost_model.vet_flow) * slots)
-      in
+      let base = Cost_model.vet_cycles ~flow:false ~slots in
+      let flow = Cost_model.vet_cycles ~flow:true ~slots in
       row "%-14s %6d %10d %10d %8.1f %%\n" name slots base flow
         (100.0 *. float_of_int (flow - base) /. float_of_int base);
       record ~table:"vet" ~label:(name ^ "-4checks") base;

@@ -25,6 +25,10 @@ let loader_copy_chunk = 512
 let vet_base = 900
 let vet_per_instruction = 120
 let vet_flow = 60
+
+let vet_cycles ~flow ~slots =
+  vet_base + ((vet_per_instruction + if flow then vet_flow else 0) * slots)
+
 let cfa_log_event = 48
 let ipc_origin_lookup = 76
 let ipc_sender_lookup = 214

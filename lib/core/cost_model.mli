@@ -113,6 +113,13 @@ val vet_flow : int
     dataflow, so the increment is cheaper than the base abstract
     interpretation (60 vs 120 cycles per instruction). *)
 
+val vet_cycles : flow:bool -> slots:int -> int
+(** The whole vet bill for a binary of [slots] text instructions:
+    [vet_base + (vet_per_instruction + vet_flow) * slots] with [flow]
+    (the six-check vet), without [vet_flow] otherwise (the four-check
+    one).  The loader, [Update.apply], the OTA gate and the benchmark all
+    charge this. *)
+
 val cfa_log_event : int
 (** Control-flow attestation: appending one edge to the hash-chained
     branch log (three word stores to the protected ring, a counter

@@ -198,15 +198,10 @@ let step_job_inner t job =
                binary tycheck cannot prove isolated never reaches the
                measured-and-registered state. *)
             let open Tytan_analysis in
-            let slots = telf.text_size / Isa.width in
-            let per_instruction =
-              Cost_model.vet_per_instruction
-              +
-              match base_config.Tycheck.flow with
-              | None -> 0
-              | Some _ -> Cost_model.vet_flow
-            in
-            charge t (Cost_model.vet_base + (per_instruction * slots));
+            charge t
+              (Cost_model.vet_cycles
+                 ~flow:(Option.is_some base_config.Tycheck.flow)
+                 ~slots:(telf.text_size / Isa.width));
             let config =
               { base_config with Tycheck.r12_inbox = job.request.secure }
             in

@@ -60,7 +60,8 @@ val create :
     phase (with [r12_inbox] following the request's [secure] flag) and
     refused — before any memory is allocated — if the report carries a
     violation.  The verification cost is charged to the loading cycle
-    budget ({!Cost_model.vet_base} + per-instruction). *)
+    budget ({!Cost_model.vet_cycles}, with [vet_flow] when the config
+    checks flows). *)
 
 val code_eip : t -> Word.t
 

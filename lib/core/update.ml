@@ -42,17 +42,23 @@ let migrate p ~(old_entry : Rtm.entry) ~(new_entry : Rtm.entry) ~words =
     done
   end
 
-let update_task p ~(old_task : Tcb.t) ?(migrate_words = 0) telf =
+(* Stage the new version while the old one keeps running, then swap.
+   The new task must not be scheduled before the swap, so it is loaded
+   blocking and suspended at once (the caller may equally submit + poll,
+   as the cruise-control flow does).
+
+   With [expected], the measured-activation gate runs between the two:
+   the RTM's measurement of the bytes actually sitting in the staging
+   region must reproduce that identity.  Checked {e before} the swap, so
+   a mismatch — a bit-flip in the buffer, a substituted binary — costs
+   nothing but the staging: the new copy is reclaimed and the old
+   version never stops running. *)
+let activate p ~(old_task : Tcb.t) ~migrate_words ?expected telf =
   match entry_of p old_task with
   | Error e -> Error e
   | Ok old_entry -> (
       let clock = Platform.clock p in
       let kernel = Platform.kernel p in
-      (* Stage the new version while the old one keeps running.  The new
-         task must not be scheduled before the swap, so it is loaded
-         without auto-ready by suspending it immediately after creation:
-         we load blocking here (the caller may equally submit + poll, as
-         the cruise-control flow does), then swap. *)
       let staging_start = Cycles.now clock in
       match
         Platform.load_blocking p ~name:(old_task.Tcb.name ^ "+new")
@@ -63,94 +69,22 @@ let update_task p ~(old_task : Tcb.t) ?(migrate_words = 0) telf =
           Kernel.suspend_task kernel new_task;
           let staging_cycles = Cycles.now clock - staging_start in
           match entry_of p new_task with
-          | Error e -> Error e
-          | Ok new_entry ->
-              (* The atomic swap: the availability gap is exactly this
-                 window. *)
-              let swap_start = Cycles.now clock in
-              Cycles.charge clock
-                (Cost_model.update_swap_base
-                + (migrate_words * Cost_model.update_migrate_per_word));
-              Kernel.suspend_task kernel old_task;
-              migrate p ~old_entry ~new_entry ~words:migrate_words;
-              Kernel.resume_task kernel new_task;
-              let downtime_cycles = Cycles.now clock - swap_start in
-              Platform.unload p old_task;
-              Trace.emitf (Platform.trace p) ~source:"update"
-                "%s: %s -> %s (downtime %d cycles)" old_task.Tcb.name
-                (Task_id.to_hex old_entry.Rtm.id)
-                (Task_id.to_hex new_entry.Rtm.id)
-                downtime_cycles;
-              Ok
-                {
-                  task = new_task;
-                  old_id = old_entry.Rtm.id;
-                  new_id = new_entry.Rtm.id;
-                  downtime_cycles;
-                  staging_cycles;
-                }))
-
-(* The measured-activation discipline: vet the binary, pin the identity
-   the vetted bytes hash to, and refuse the swap unless the RTM's
-   measurement of what was actually staged reproduces that identity.
-   Anything that changes the image between vet and activation — a
-   bit-flip in the staging buffer, a substituted binary, an offer whose
-   authenticated identity names different bytes — surfaces as a
-   mismatch, the staged copy is reclaimed, and the old version keeps
-   running.  An unmeasured image is never activated. *)
-let apply p ~(old_task : Tcb.t) ?(migrate_words = 0) ?expected telf =
-  let clock = Platform.clock p in
-  let rep = Tycheck.check ~config:Tycheck.flow_config telf in
-  Cycles.charge clock
-    (Cost_model.vet_base
-    + (Cost_model.vet_per_instruction + Cost_model.vet_flow)
-      * (telf.Telf.text_size / Isa.width));
-  if not (Tycheck.strict_ok rep) then
-    Error
-      (match Tycheck.first_violation rep with
-      | Some v -> "vet refused: " ^ v
-      | None -> "vet refused: analysis could not prove the image clean")
-  else
-    match entry_of p old_task with
-    | Error e -> Error e
-    | Ok old_entry -> (
-        let expected =
-          match expected with
-          | Some id -> id
-          | None -> Rtm.identity_of_telf telf
-        in
-        let kernel = Platform.kernel p in
-        let staging_start = Cycles.now clock in
-        match
-          Platform.load_blocking p ~name:(old_task.Tcb.name ^ "+new")
-            ~priority:old_task.Tcb.priority telf
-        with
-        | Error e -> Error e
-        | Ok new_task -> (
-            Kernel.suspend_task kernel new_task;
-            let staging_cycles = Cycles.now clock - staging_start in
-            match entry_of p new_task with
-            | Error e ->
-                Platform.unload p new_task;
-                Error e
-            | Ok new_entry ->
-                (* The activation gate: the RTM's measurement of the bytes
-                   actually sitting in the staging region must reproduce
-                   the identity the vet verdict (or the signed offer)
-                   covers.  Checked {e before} the swap, so a mismatch —
-                   a bit-flip in the buffer, a substituted binary — costs
-                   nothing but the staging: the new copy is reclaimed and
-                   the old version never stops running. *)
-                if not (Task_id.equal new_entry.Rtm.id expected) then begin
+          | Error e ->
+              Platform.unload p new_task;
+              Error e
+          | Ok new_entry -> (
+              match expected with
+              | Some id when not (Task_id.equal new_entry.Rtm.id id) ->
                   Platform.unload p new_task;
                   Trace.emitf (Platform.trace p) ~source:"update"
                     "%s: staged image measures %s, expected %s — refused"
                     old_task.Tcb.name
                     (Task_id.to_hex new_entry.Rtm.id)
-                    (Task_id.to_hex expected);
+                    (Task_id.to_hex id);
                   Error "staged image does not match the vetted identity"
-                end
-                else begin
+              | _ ->
+                  (* The atomic swap: the availability gap is exactly
+                     this window. *)
                   let swap_start = Cycles.now clock in
                   Cycles.charge clock
                     (Cost_model.update_swap_base
@@ -161,10 +95,10 @@ let apply p ~(old_task : Tcb.t) ?(migrate_words = 0) ?expected telf =
                   let downtime_cycles = Cycles.now clock - swap_start in
                   Platform.unload p old_task;
                   Trace.emitf (Platform.trace p) ~source:"update"
-                    "%s: %s -> %s vetted+measured (downtime %d cycles)"
-                    old_task.Tcb.name
+                    "%s: %s -> %s%s (downtime %d cycles)" old_task.Tcb.name
                     (Task_id.to_hex old_entry.Rtm.id)
                     (Task_id.to_hex new_entry.Rtm.id)
+                    (if Option.is_none expected then "" else " vetted+measured")
                     downtime_cycles;
                   Ok
                     {
@@ -173,8 +107,35 @@ let apply p ~(old_task : Tcb.t) ?(migrate_words = 0) ?expected telf =
                       new_id = new_entry.Rtm.id;
                       downtime_cycles;
                       staging_cycles;
-                    }
-                end))
+                    })))
+
+let update_task p ~old_task ?(migrate_words = 0) telf =
+  activate p ~old_task ~migrate_words telf
+
+(* The measured-activation discipline: vet the binary, pin the identity
+   the vetted bytes hash to, and refuse the swap unless the RTM's
+   measurement of what was actually staged reproduces that identity.
+   Anything that changes the image between vet and activation — a
+   bit-flip in the staging buffer, a substituted binary, an offer whose
+   authenticated identity names different bytes — surfaces as a
+   mismatch, the staged copy is reclaimed, and the old version keeps
+   running.  An unmeasured image is never activated. *)
+let apply p ~old_task ?(migrate_words = 0) ?expected telf =
+  let rep = Tycheck.check ~config:Tycheck.flow_config telf in
+  Cycles.charge (Platform.clock p)
+    (Cost_model.vet_cycles ~flow:true ~slots:(telf.Telf.text_size / Isa.width));
+  if not (Tycheck.strict_ok rep) then
+    Error
+      (match Tycheck.first_violation rep with
+      | Some v -> "vet refused: " ^ v
+      | None -> "vet refused: analysis could not prove the image clean")
+  else
+    let expected =
+      match expected with
+      | Some id -> id
+      | None -> Rtm.identity_of_telf telf
+    in
+    activate p ~old_task ~migrate_words ~expected telf
 
 let stop_and_reload p ~(old_task : Tcb.t) telf =
   match entry_of p old_task with

@@ -145,13 +145,18 @@ let send t ~from ~at payload =
     end
   end
 
+(* [in_flight] is sorted by due, so when its head is not due nothing is:
+   a campaign's one visit per device asks both sides every time. *)
 let deliver t ~to_ ~at =
-  let due, remaining =
-    List.partition (fun f -> f.dest = to_ && f.due <= at) t.in_flight
-  in
-  t.in_flight <- remaining;
-  t.delivered <- t.delivered + List.length due;
-  List.map (fun f -> f.payload) due
+  match t.in_flight with
+  | f :: _ when f.due <= at ->
+      let due, remaining =
+        List.partition (fun f -> f.dest = to_ && f.due <= at) t.in_flight
+      in
+      t.in_flight <- remaining;
+      t.delivered <- t.delivered + List.length due;
+      List.map (fun f -> f.payload) due
+  | _ -> []
 
 let next_due t = match t.in_flight with f :: _ -> f.due | [] -> max_int
 
@@ -266,6 +271,14 @@ module Wake_set = struct
       f t.ids.(k)
     done
 
-  let next_slice ~at ~cap ~settled next =
-    if settled then at + 1 else max (at + 1) (min next (cap + 1))
+  let settle ~cap ~pending step =
+    let rec go ~pending at =
+      if pending <= 0 || at > cap then at
+      else
+        let settled, next = step ~at in
+        let pending = pending - settled in
+        go ~pending
+          (if pending <= 0 then at + 1 else max (at + 1) (min next (cap + 1)))
+    in
+    go ~pending 0
 end

@@ -158,10 +158,13 @@ module Wake_set : sig
   val iter : t -> (int -> unit) -> unit
   (** Every member, ascending. *)
 
-  val next_slice : at:int -> cap:int -> settled:bool -> int -> int
-  (** [next_slice ~at ~cap ~settled next] is the slice a loop bounded by
-      [slice <= cap] moves to after slice [at], given the earliest wake
-      [next] of the last {!sweep}: [at + 1] once every session has
-      [settled], else [next] clamped to [at + 1 .. cap + 1].  Either way
-      the loop ends on the slice a visit-everyone loop would end on. *)
+  val settle : cap:int -> pending:int -> (at:int -> int * int) -> int
+  (** The one slice loop of every campaign phase.  Starting at slice 0,
+      [settle ~cap ~pending step] calls [step ~at] while sessions are
+      pending and [at <= cap]; [step] returns how many sessions settled
+      in slice [at] and the earliest wake left (the last {!sweep}'s
+      result).  The next slice is [at + 1] once every session has
+      settled, else that wake clamped to [at + 1 .. cap + 1].  The result
+      is the slice the loop stopped at — the one a loop visiting every
+      device in every slice stops at. *)
 end

@@ -12,7 +12,6 @@ type verdict = {
 
 let vet (telf : Telf.t) =
   let rep = Tycheck.check ~config:Tycheck.flow_config telf in
-  let slots = telf.Telf.text_size / Isa.width in
   (* Adoption demands the strict verdict: an image the analysis cannot
      prove clean (a Maybe-level flow, an unbounded WCET) is refused
      alongside proven leaks. *)
@@ -29,8 +28,7 @@ let vet (telf : Telf.t) =
     accepted = Tycheck.strict_ok rep;
     refusal;
     vet_cycles =
-      Cost_model.vet_base
-      + ((Cost_model.vet_per_instruction + Cost_model.vet_flow) * slots);
+      Cost_model.vet_cycles ~flow:true ~slots:(telf.Telf.text_size / Isa.width);
   }
 
 let version_ok ~counter ~version = version > counter

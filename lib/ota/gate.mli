@@ -13,7 +13,7 @@ type verdict = {
           one, else the first unknown) when the image was refused *)
   vet_cycles : int;
       (** what a device's loader charges for the six-check vet of this
-          image: [vet_base + (vet_per_instruction + vet_flow) · slots] *)
+          image: [Cost_model.vet_cycles ~flow:true] over its text slots *)
 }
 
 val vet : Telf.t -> verdict

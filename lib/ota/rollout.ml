@@ -93,7 +93,6 @@ type dev = {
   link : Link.t;
   ka : bytes;  (* controller-side copy of the device's Ka *)
   mutable quarantined : bool;
-  mutable strikes : int;
   mutable truncate_left : int;
   nvm : bytes option ref;  (* sealed counter snapshot (persistence) *)
 }
@@ -262,7 +261,8 @@ let attest_gate ~controller_clock ~wave (cohort : dev list) ~expected ~truncated
   in
   (* Wake-driven slices, as in [Swarm.run]: a device is visited only
      when a frame on its link is due or one of its sessions' retry timer
-     fires, and the loop jumps to the earliest such slice. *)
+     fires, and [settle] jumps to the earliest such slice.  One visit
+     runs the device side, then both sessions. *)
   let gate = Array.of_list sessions in
   let active = Link.Wake_set.create ~universe:(Array.length gate) in
   Array.iteri (fun i _ -> Link.Wake_set.add active i) gate;
@@ -272,37 +272,34 @@ let attest_gate ~controller_clock ~wave (cohort : dev list) ~expected ~truncated
       (fun w v -> min w (Verifier.next_wake v))
       (Link.next_due d.link) vs
   in
-  let pending = ref (2 * Array.length gate) in
-  let slice = ref 0 in
-  while !pending > 0 && !slice <= slice_cap do
-    let at = !slice in
-    ignore
-      (Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
-           device_step (fst gate.(i)) ~at ~truncated));
-    let next =
-      Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
-          let d, vs = gate.(i) in
-          (* Both sessions share the device's link: drain once, fan every
-             frame out to both (each ignores the other's sequences). *)
-          let frames = Link.deliver d.link ~to_:Link.Remote ~at in
-          List.iter
-            (fun v ->
-              let was_pending = Verifier.outcome v = Verifier.Pending in
-              List.iter
-                (fun frame ->
-                  Cost_model.charge_hashing controller_clock (fun () ->
-                      Verifier.on_frame v frame))
-                frames;
-              (match Verifier.poll v ~at with
-              | Some frame -> Link.send d.link ~from:Link.Remote ~at frame
-              | None -> ());
-              if was_pending && Verifier.outcome v <> Verifier.Pending then
-                decr pending)
-            vs)
-    in
-    slice :=
-      Link.Wake_set.next_slice ~at ~cap:slice_cap ~settled:(!pending = 0) next
-  done;
+  ignore
+    (Link.Wake_set.settle ~cap:slice_cap ~pending:(2 * Array.length gate)
+       (fun ~at ->
+         let settled = ref 0 in
+         let next =
+           Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
+               let d, vs = gate.(i) in
+               device_step d ~at ~truncated;
+               (* Both sessions share the device's link: drain once, fan
+                  every frame out to both (each ignores the other's
+                  sequences). *)
+               let frames = Link.deliver d.link ~to_:Link.Remote ~at in
+               List.iter
+                 (fun v ->
+                   let was_pending = Verifier.outcome v = Verifier.Pending in
+                   List.iter
+                     (fun frame ->
+                       Cost_model.charge_hashing controller_clock (fun () ->
+                           Verifier.on_frame v frame))
+                     frames;
+                   (match Verifier.poll v ~at with
+                   | Some frame -> Link.send d.link ~from:Link.Remote ~at frame
+                   | None -> ());
+                   if was_pending && Verifier.outcome v <> Verifier.Pending
+                   then incr settled)
+                 vs)
+         in
+         (!settled, next)));
   List.iter
     (fun (_, vs) -> List.iter (Verifier.conclude ~cap:slice_cap) vs)
     sessions;
@@ -382,7 +379,6 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
           link;
           ka;
           quarantined = false;
-          strikes = 0;
           truncate_left = 0;
           nvm;
         })
@@ -392,14 +388,6 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
     else []
   in
   let truncated = ref 0 in
-  let breaker_threshold = 1 in
-  let strike d =
-    d.strikes <- d.strikes + 1;
-    if d.strikes >= breaker_threshold then begin
-      d.strikes <- 0;
-      d.quarantined <- true
-    end
-  in
   let survived = ref true in
   let stats = ref [] in
   List.iteri
@@ -482,10 +470,11 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
           64 + (8 * ((size / chunk_size) + 1))
           + (retry_timeout * session_attempts * 2)
         in
-        (* Wake-driven slices, as in [attest_gate]: each pass visits, in
+        (* Wake-driven slices, as in [attest_gate]: each slice visits, in
            session order, only the sessions whose link has a frame due
-           or whose controller can send; the loop jumps to the next
-           slice in which any of them can act. *)
+           or whose controller can send — device side, then controller
+           — and [settle] jumps to the next slice in which any of them
+           can act. *)
         let live = Array.of_list sessions in
         let active = Link.Wake_set.create ~universe:(Array.length live) in
         Array.iteri (fun i _ -> Link.Wake_set.add active i) live;
@@ -494,53 +483,42 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
           min (Link.next_due s.dev.link) (session_wake s)
         in
         let is_done s = match s.state with `Done _ -> true | _ -> false in
-        let pending = ref (Array.length live) in
-        let tracking_done s f =
-          let was_done = is_done s in
-          f ();
-          if (not was_done) && is_done s then decr pending
+        let slice =
+          Link.Wake_set.settle ~cap ~pending:(Array.length live) (fun ~at ->
+              let settled = ref 0 in
+              let next =
+                Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
+                    let s = live.(i) in
+                    device_step s.dev ~at ~truncated;
+                    let was_done = is_done s in
+                    List.iter
+                      (fun frame ->
+                        let was_opened = s.opened in
+                        let before = s.state in
+                        controller_on_frame s ~at frame;
+                        if obs <> None then begin
+                          let corr = dev_corr s.dev.serial in
+                          if (not was_opened) && s.opened then
+                            observe ~corr ~at:(base + at)
+                              (Obs.Event.Transfer_staged
+                                 { serial = s.dev.serial });
+                          match s.state with
+                          | `Done c when before <> s.state -> (
+                              match
+                                terminal_event ~serial:s.dev.serial
+                                  ~counter:s.counter_after c
+                              with
+                              | Some e -> observe ~corr ~at:(base + at) e
+                              | None -> ())
+                          | _ -> ()
+                        end)
+                      (Link.deliver s.dev.link ~to_:Link.Remote ~at);
+                    controller_poll s ~at;
+                    if (not was_done) && is_done s then incr settled)
+              in
+              (!settled, next))
         in
-        let slice = ref 0 in
-        while !pending > 0 && !slice <= cap do
-          let at = !slice in
-          ignore
-            (Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
-                 device_step live.(i).dev ~at ~truncated));
-          ignore
-            (Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
-                 let s = live.(i) in
-                 tracking_done s (fun () ->
-                     List.iter
-                       (fun frame ->
-                         let was_opened = s.opened in
-                         let before = s.state in
-                         controller_on_frame s ~at frame;
-                         if obs <> None then begin
-                           let corr = dev_corr s.dev.serial in
-                           if (not was_opened) && s.opened then
-                             observe ~corr ~at:(base + at)
-                               (Obs.Event.Transfer_staged
-                                  { serial = s.dev.serial });
-                           match s.state with
-                           | `Done c when before <> s.state -> (
-                               match
-                                 terminal_event ~serial:s.dev.serial
-                                   ~counter:s.counter_after c
-                               with
-                               | Some e -> observe ~corr ~at:(base + at) e
-                               | None -> ())
-                           | _ -> ()
-                         end)
-                       (Link.deliver s.dev.link ~to_:Link.Remote ~at))));
-          let next =
-            Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
-                let s = live.(i) in
-                tracking_done s (fun () -> controller_poll s ~at))
-          in
-          slice :=
-            Link.Wake_set.next_slice ~at ~cap ~settled:(!pending = 0) next
-        done;
-        slices := !slices + !slice;
+        slices := !slices + slice;
         (* Anything still unsettled has exhausted its schedule. *)
         List.iter
           (fun s ->
@@ -557,12 +535,12 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
                     with
                     | Some e ->
                         observe ~corr:(dev_corr s.dev.serial)
-                          ~at:(base + !slice) e
+                          ~at:(base + slice) e
                     | None -> ())
                 | _ -> ())
             | `Done _ -> ())
           sessions;
-        obs_at := base + !slice;
+        obs_at := base + slice;
         List.iter
           (fun s ->
             match s.state with
@@ -614,31 +592,22 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
       (* Phase B: promotion — or fleet-wide abort. *)
       let fleet_sessions = if gate_passed then run_phase rest else [] in
       let all_sessions = canary_sessions @ fleet_sessions in
-      (* The circuit breaker: every device that was offered this wave
-         and did not end it running the offered image takes a strike.
-         At the threshold it is quarantined — out of the fleet until an
-         operator re-provisions it. *)
+      (* The circuit breaker: one strike quarantines.  Every device that
+         was offered this wave and did not end it running the offered
+         image is out of the fleet until an operator re-provisions it,
+         and so are canaries that applied a wave the gate then failed:
+         they run an image the fleet aborted. *)
       let newly_quarantined = ref [] in
+      let quarantine d =
+        if not d.quarantined then begin
+          d.quarantined <- true;
+          newly_quarantined := d.serial :: !newly_quarantined
+        end
+      in
       List.iter
-        (fun s ->
-          if s.state <> `Done 'A' then begin
-            let was = s.dev.quarantined in
-            strike s.dev;
-            if s.dev.quarantined && not was then
-              newly_quarantined := s.dev.serial :: !newly_quarantined
-          end)
+        (fun s -> if s.state <> `Done 'A' then quarantine s.dev)
         all_sessions;
-      (* Canaries that applied a wave the gate then failed are pulled
-         too: they run an image the fleet aborted. *)
-      if not gate_passed then
-        List.iter
-          (fun s ->
-            if not s.dev.quarantined then begin
-              strike s.dev;
-              if s.dev.quarantined then
-                newly_quarantined := s.dev.serial :: !newly_quarantined
-            end)
-          canary_sessions;
+      if not gate_passed then List.iter (fun s -> quarantine s.dev) canary_sessions;
       let count c =
         Array.fold_left (fun n ch -> if ch = c then n + 1 else n) 0 verdict
       in

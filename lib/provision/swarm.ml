@@ -422,7 +422,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
        in slice [at] only if a frame on its link is due or its session's
        retry timer fires; any other visit is a no-op.  So each worker
        sweeps its active set, visiting in device order just the devices
-       whose wake has come, and the loop jumps to the earliest wake left
+       whose wake has come, and [settle] jumps to the earliest wake left
        — the visits, sync points and final slice of visiting everyone
        every slice, minus the no-ops.  Carried devices (no session) are
        never members: they have no wire traffic this epoch. *)
@@ -459,30 +459,25 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
       if was_pending && Verifier.outcome v <> Verifier.Pending then
         wsettled.(w) <- wsettled.(w) + 1
     in
-    let pending = ref challenged_n in
-    let slice = ref 0 in
-    while !pending > 0 && !slice <= slice_cap do
-      let at = !slice in
-      Domain_pool.run pool (fun w ->
-          wsettled.(w) <- 0;
-          wnext.(w) <-
-            Link.Wake_set.sweep active.(w) ~at ~wake ~visit:(visit w ~at));
-      (* Sequential sync point: queued admissions land in shard (=
-         device) order, exactly where the sequential engine admitted
-         them inline. *)
-      (match aggregator with Some a -> Aggregator.drain a | None -> ());
-      pending := !pending - Array.fold_left ( + ) 0 wsettled;
-      slice :=
-        Link.Wake_set.next_slice ~at ~cap:slice_cap ~settled:(!pending = 0)
-          (Array.fold_left min max_int wnext)
-    done;
+    let slice =
+      Link.Wake_set.settle ~cap:slice_cap ~pending:challenged_n (fun ~at ->
+          Domain_pool.run pool (fun w ->
+              wsettled.(w) <- 0;
+              wnext.(w) <-
+                Link.Wake_set.sweep active.(w) ~at ~wake ~visit:(visit w ~at));
+          (* Sequential sync point: queued admissions land in shard (=
+             device) order, exactly where the sequential engine admitted
+             them inline. *)
+          (match aggregator with Some a -> Aggregator.drain a | None -> ());
+          (Array.fold_left ( + ) 0 wsettled, Array.fold_left min max_int wnext))
+    in
     (* A pending session's device is always still active. *)
     Array.iter
       (fun set ->
         Link.Wake_set.iter set (fun d ->
             Verifier.conclude (Option.get sessions.(d)) ~cap:slice_cap))
       active;
-    obs_at := base + !slice;
+    obs_at := base + slice;
     (* Devices carried on liveness: charge the keepalive processing and
        stamp their retained slots alive before the epoch seals. *)
     (match aggregator with
@@ -617,7 +612,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
         gave_up = count 'G' verdicts;
         verdicts;
         healthy_polls = !healthy_polls;
-        slices = !slice;
+        slices = slice;
         batches = List.length epoch_batches;
         root_hex;
         cache_hits = hits1 - hits0;

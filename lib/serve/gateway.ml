@@ -726,18 +726,17 @@ let step t =
     t.inflight <- s :: t.inflight;
     t.inflight_n <- t.inflight_n + 1
   done;
-  (* Only a device with a frame due on its link can do anything in the
-     two passes below, so each sweeps the [wired] set in device order and
-     skips the rest (DESIGN.md §18, "Wake-driven slices"). *)
-  let due d = Link.next_due t.provers.(d).link in
-  (* Device side: provers answer what reached them. *)
+  (* Only a device with a frame due on its link can do anything here, so
+     one sweep visits the [wired] set in device order and skips the rest
+     (DESIGN.md §18, "Wake-driven slices"): the prover answers what
+     reached it, then every frame that arrived for the gateway is routed
+     to its session. *)
   ignore
-    (Link.Wake_set.sweep t.wired ~at ~wake:due ~visit:(fun d ->
-         prover_step t t.provers.(d)));
-  (* Remote side: route every arrived frame to its session. *)
-  ignore
-    (Link.Wake_set.sweep t.wired ~at ~wake:due ~visit:(fun d ->
+    (Link.Wake_set.sweep t.wired ~at
+       ~wake:(fun d -> Link.next_due t.provers.(d).link)
+       ~visit:(fun d ->
          let p = t.provers.(d) in
+         prover_step t p;
          List.iter (route t p) (Link.deliver p.link ~to_:Link.Remote ~at)));
   (* Poll, enforce deadlines, settle. *)
   let still = ref [] in

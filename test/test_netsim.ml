@@ -616,6 +616,85 @@ let print_session_program ((attempts, backoff, timeout, refusals), ops) =
               | Junk -> "junk"))
           ops))
 
+(* A slice-loop model for [Link.Wake_set.settle]: member [m] acts at
+   slice [first], then after each gap in turn; its session settles at
+   its [k]-th action ([None], or [k] past the last action: never, so the
+   loop runs to its cap). *)
+let settle_program_gen =
+  QCheck.Gen.(
+    pair (int_bound 60)
+      (list_size (int_bound 10)
+         (triple (int_bound 30)
+            (list_size (int_bound 6) (int_range 1 15))
+            (opt (int_range 1 7)))))
+
+let print_settle_program (cap, members) =
+  Printf.sprintf "cap=%d members=[%s]" cap
+    (String.concat "; "
+       (List.map
+          (fun (first, gaps, k) ->
+            Printf.sprintf "%d+[%s] settle@%s" first
+              (String.concat "," (List.map string_of_int gaps))
+              (match k with Some k -> string_of_int k | None -> "never"))
+          members))
+
+(* Runs the model through [loop ~n ~wake ~act] and returns every
+   (slice, member) action in order, plus the slice the loop stopped at.
+   [act m ~at] performs member [m]'s due action and says whether its
+   session settled. *)
+let run_settle_model members loop =
+  let members = Array.of_list members in
+  let due =
+    Array.map
+      (fun (first, gaps, _) ->
+        List.rev
+          (List.fold_left (fun acc g -> (List.hd acc + g) :: acc) [ first ] gaps))
+      members
+  in
+  let acted = Array.make (Array.length members) 0 in
+  let log = ref [] in
+  let wake m = match due.(m) with t :: _ -> t | [] -> max_int in
+  let act m ~at =
+    log := (at, m) :: !log;
+    due.(m) <- List.tl due.(m);
+    acted.(m) <- acted.(m) + 1;
+    let _, _, k = members.(m) in
+    k = Some acted.(m)
+  in
+  let stop = loop ~n:(Array.length members) ~wake ~act in
+  (List.rev !log, stop)
+
+(* The loop [settle] replaces: every member in every slice. *)
+let visit_everyone ~cap ~n ~wake ~act =
+  let pending = ref n in
+  let slice = ref 0 in
+  while !pending > 0 && !slice <= cap do
+    let at = !slice in
+    for m = 0 to n - 1 do
+      if wake m <= at && act m ~at then decr pending
+    done;
+    incr slice
+  done;
+  !slice
+
+(* [idle] counts the slices after slice 0 in which [settle] ran a step
+   that found nothing due: the jumps must land only on slices where
+   something happens. *)
+let settle_driven ~idle ~cap ~n ~wake ~act =
+  let set = Link.Wake_set.create ~universe:n in
+  for m = 0 to n - 1 do
+    Link.Wake_set.add set m
+  done;
+  Link.Wake_set.settle ~cap ~pending:n (fun ~at ->
+      let settled = ref 0 and acted = ref false in
+      let next =
+        Link.Wake_set.sweep set ~at ~wake ~visit:(fun m ->
+            acted := true;
+            if act m ~at then incr settled)
+      in
+      if at > 0 && not !acted then incr idle;
+      (!settled, next))
+
 let wake_property_tests =
   let to_alcotest = QCheck_alcotest.to_alcotest in
   let fw = Task_id.of_image (Bytes.of_string "wake-test-firmware") in
@@ -648,6 +727,28 @@ let wake_property_tests =
            List.rev !visited = List.filter (fun i -> wakes.(i) <= at) members
            && List.rev !left = kept
            && next = List.fold_left (fun m i -> min m wakes.(i)) max_int kept));
+    to_alcotest
+      (QCheck.Test.make
+         ~name:"settle: acts and stops like visiting everyone, skips idle slices"
+         ~count:500
+         (QCheck.make ~print:print_settle_program settle_program_gen)
+         (fun (cap, members) ->
+           let idle = ref 0 in
+           run_settle_model members (settle_driven ~idle ~cap)
+           = run_settle_model members (visit_everyone ~cap)
+           && !idle = 0));
+    Alcotest.test_case "settle: a capped loop stops at cap + 1" `Quick
+      (fun () ->
+        (* Member 1 never settles, so the loop runs out of slices with a
+           session pending; member 0 settles first and still acts. *)
+        let members = [ (2, [ 3; 40 ], Some 1); (0, [ 5 ], None) ] in
+        let expected = ([ (0, 1); (2, 0); (5, 0); (5, 1) ], 21) in
+        Alcotest.(check (pair (list (pair int int)) int))
+          "reference" expected
+          (run_settle_model members (visit_everyone ~cap:20));
+        Alcotest.(check (pair (list (pair int int)) int))
+          "settle" expected
+          (run_settle_model members (settle_driven ~idle:(ref 0) ~cap:20)));
     to_alcotest
       (QCheck.Test.make ~name:"link: nothing due means delivery is a no-op"
          ~count:300
