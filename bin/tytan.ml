@@ -5,10 +5,16 @@
                                      boot, load K secure tasks, run, report
      tytan attest                    run a remote-attestation exchange
      tytan inspect                   dump the EA-MPU rule set after boot
-     tytan cfa [--local] [--loss N]  control-flow attestation demonstration
+     tytan disasm                    disassemble the example secure task
      tytan stats [--json]            run the instrumented demo, dump metrics
      tytan trace [--out FILE]        event log, or a Perfetto-loadable trace
+     tytan fleet [--steady]          swarm-attestation campaign
+     tytan serve [--arrival A]       verifier gateway under seeded load
+     tytan ota [--leaky] [--stale]   canary firmware rollout, the one push
      tytan audit [--trail CORR]      flight-recorder trails, SLOs, chain check
+     tytan lint [--flow] [--strict]  tycheck static verification
+     tytan chaos [--verify]          fault-injection campaign
+     tytan cfa [--local] [--loss N]  control-flow attestation demonstration
 
    See also: dune exec bench/main.exe (tables) and examples/. *)
 
@@ -349,38 +355,15 @@ let reproduce ~verify ~equal ~run report =
 
 (* --- fleet ---------------------------------------------------------------- *)
 
-let fleet devices epochs seed faults mode loss rollout domains steady churn
-    verify =
+let fleet devices epochs seed faults mode loss domains steady churn verify =
   let open Tytan_provision in
-  let mode =
-    match mode with
-    | "scalar" -> Swarm.Scalar
-    | "incremental" -> Swarm.Incremental
-    | other ->
-        Printf.eprintf "tytan: unknown fleet mode %S (scalar|incremental)\n"
-          other;
-        exit 124
-  in
   if steady && mode <> Swarm.Incremental then begin
     prerr_endline "tytan: --steady requires --mode incremental";
     exit 124
   end;
-  let rollout =
-    match rollout with
-    | "none" -> None
-    | "clean" -> Some (Tasks.counter ())
-    | "leaky" ->
-        Some
-          (Tasks.key_leaker
-             ~receiver:(Task_id.of_image (Bytes.of_string "exfil-sink"))
-             ())
-    | other ->
-        Printf.eprintf "tytan: unknown rollout %S (none|clean|leaky)\n" other;
-        exit 124
-  in
   let run () =
-    Swarm.run ~mode ~devices ~epochs ~seed ~faults ~loss_percent:loss ?rollout
-      ~domains ~steady ~churn_permille:churn ()
+    Swarm.run ~mode ~devices ~epochs ~seed ~faults ~loss_percent:loss ~domains
+      ~steady ~churn_permille:churn ()
   in
   let report = run () in
   print_string (Swarm.to_string report);
@@ -414,22 +397,15 @@ let fleet_cmd =
              one-epoch hangs) and link corruption/duplication/reordering.")
   in
   let mode =
+    let open Tytan_provision.Swarm in
+    let modes = List.map (fun m -> (mode_label m, m)) [ Incremental; Scalar ] in
     Arg.(
-      value & opt string "incremental"
+      value & opt (enum modes) Incremental
       & info [ "mode" ]
           ~doc:
-            "Verifier engine: incremental (aggregator with persistent Merkle \
-             leaves, dirty-path recompute, sparse epoch deltas) or scalar \
-             (stateless baseline).")
-  in
-  let rollout =
-    Arg.(
-      value & opt string "none"
-      & info [ "rollout" ]
-          ~doc:
-            "Push a firmware rollout before the campaign: $(b,clean) (a \
-             benign image the fleet adopts) or $(b,leaky) (the key-leaker \
-             exploit, refused platform-wide by the flow vet).")
+            "Verifier engine: $(b,incremental) (aggregator with persistent \
+             Merkle leaves, dirty-path recompute, sparse epoch deltas) or \
+             $(b,scalar) (stateless baseline).")
   in
   let domains =
     Arg.(
@@ -466,8 +442,8 @@ let fleet_cmd =
           scalar baseline (--mode scalar); --domains D shards verification \
           bit-identically")
     Term.(
-      const fleet $ devices $ epochs $ seed $ faults $ mode $ loss $ rollout
-      $ domains $ steady $ churn $ verify)
+      const fleet $ devices $ epochs $ seed $ faults $ mode $ loss $ domains
+      $ steady $ churn $ verify)
 
 (* --- serve ----------------------------------------------------------------- *)
 
@@ -475,11 +451,8 @@ let serve devices slices rate seed faults loss arrival think verify =
   let open Tytan_serve in
   let arrival =
     match arrival with
-    | "open" -> Gateway.Open_loop
-    | "closed" -> Gateway.Closed_loop { think }
-    | other ->
-        Printf.eprintf "tytan: unknown arrival mode %S (open|closed)\n" other;
-        exit 124
+    | `Open -> Gateway.Open_loop
+    | `Closed -> Gateway.Closed_loop { think }
   in
   let run () =
     Gateway.run ~devices ~slices ~arrival_permille:rate ~seed ~faults
@@ -518,7 +491,8 @@ let serve_cmd =
   in
   let arrival =
     Arg.(
-      value & opt string "open"
+      value
+      & opt (enum [ ("open", `Open); ("closed", `Closed) ]) `Open
       & info [ "arrival" ]
           ~doc:
             "Load generator: $(b,open) (offered load ignores the gateway — \
@@ -578,7 +552,7 @@ let platform_key_of seed =
 
 let ota devices epochs canary seed faults loss stale leaky verify =
   let module Rollout = Tytan_ota.Rollout in
-  if canary <= 0 || canary > devices then begin
+  if canary > devices then begin
     prerr_endline "tytan: --canary must be in 1..devices";
     exit 124
   end;
@@ -614,7 +588,7 @@ let ota_cmd =
   in
   let canary =
     Arg.(
-      value & opt int 4
+      value & opt positive 4
       & info [ "canary" ]
           ~doc:
             "Canary cohort size; promotion is gated on every canary applying \
@@ -637,7 +611,7 @@ let ota_cmd =
           ~doc:
             "Append a rollback attempt: re-offer version 1 after the fleet \
              has advanced past it.  Every canary's monotonic counter refuses \
-             it and the breaker quarantines the presenting devices.")
+             it and each presenting device is quarantined.")
   in
   let leaky =
     Arg.(
@@ -675,20 +649,13 @@ let audit devices slices canary seed faults trail slo verify_chain tamper
   let module Gateway = Tytan_serve.Gateway in
   let module Swarm = Tytan_provision.Swarm in
   let module Rollout = Tytan_ota.Rollout in
-  if canary <= 0 || canary > devices then begin
-    prerr_endline "tytan: --canary must be in 1..devices";
-    exit 124
-  end;
   let tamper_kind =
-    match tamper with
-    | "" -> None
-    | "truncate" -> Some Obs.Log.Truncate
-    | "splice" -> Some Obs.Log.Splice
-    | "bitflip" -> Some (Obs.Log.Bit_flip (seed land 0xFFFF))
-    | other ->
-        Printf.eprintf "tytan: unknown tamper %S (truncate|splice|bitflip)\n"
-          other;
-        exit 124
+    Option.map
+      (function
+        | `Truncate -> Obs.Log.Truncate
+        | `Splice -> Obs.Log.Splice
+        | `Bitflip -> Obs.Log.Bit_flip (seed land 0xFFFF))
+      tamper
   in
   (* One flight recorder across all three fleet engines: a gateway
      campaign, a staged OTA campaign whose final stale wave aborts and
@@ -826,7 +793,10 @@ let audit_cmd =
       & info [ "slices" ] ~doc:"Gateway slices of offered load.")
   in
   let canary =
-    Arg.(value & opt int 4 & info [ "canary" ] ~doc:"OTA canary cohort size.")
+    Arg.(
+      value & opt positive 4
+      & info [ "canary" ]
+          ~doc:"OTA canary cohort size, capped at the audit's OTA fleet.")
   in
   let faults =
     Arg.(
@@ -862,7 +832,15 @@ let audit_cmd =
   in
   let tamper =
     Arg.(
-      value & opt string ""
+      value
+      & opt
+          (some
+             (enum
+                [
+                  ("truncate", `Truncate); ("splice", `Splice);
+                  ("bitflip", `Bitflip);
+                ]))
+          None
       & info [ "tamper" ] ~docv:"KIND"
           ~doc:
             "Inject a fault into the exported trail before verification: \

@@ -148,6 +148,14 @@ let first_violation r =
   | [] -> None
   | f :: _ -> Some (Format.asprintf "%a" Finding.pp f)
 
+(* Findings are sorted most severe first, so the head decides: a
+   violation if there is one, else an unknown, else nothing to refuse. *)
+let strict_refusal r =
+  match r.findings with
+  | f :: _ when f.Finding.severity <> Finding.Info ->
+      Some (Format.asprintf "%a" Finding.pp f)
+  | _ -> None
+
 let pp_wcet ppf = function
   | `Cycles n -> Format.fprintf ppf "%d cycles" n
   | `Unbounded -> Format.pp_print_string ppf "unbounded"

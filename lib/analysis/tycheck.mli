@@ -76,4 +76,8 @@ val violations : report -> Finding.t list
 val first_violation : report -> string option
 (** Rendered first violation, for one-line refusal messages. *)
 
+val strict_refusal : report -> string option
+(** The rendered first violation, else the first unknown; [None] exactly
+    when {!strict_ok} holds.  The OTA gate's and [Update.apply]'s reason. *)
+
 val pp_report : Format.formatter -> report -> unit

@@ -124,18 +124,15 @@ let apply p ~old_task ?(migrate_words = 0) ?expected telf =
   let rep = Tycheck.check ~config:Tycheck.flow_config telf in
   Cycles.charge (Platform.clock p)
     (Cost_model.vet_cycles ~flow:true ~slots:(telf.Telf.text_size / Isa.width));
-  if not (Tycheck.strict_ok rep) then
-    Error
-      (match Tycheck.first_violation rep with
-      | Some v -> "vet refused: " ^ v
-      | None -> "vet refused: analysis could not prove the image clean")
-  else
-    let expected =
-      match expected with
-      | Some id -> id
-      | None -> Rtm.identity_of_telf telf
-    in
-    activate p ~old_task ~migrate_words ~expected telf
+  match Tycheck.strict_refusal rep with
+  | Some reason -> Error ("vet refused: " ^ reason)
+  | None ->
+      let expected =
+        match expected with
+        | Some id -> id
+        | None -> Rtm.identity_of_telf telf
+      in
+      activate p ~old_task ~migrate_words ~expected telf
 
 let stop_and_reload p ~(old_task : Tcb.t) telf =
   match entry_of p old_task with

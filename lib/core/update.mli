@@ -57,7 +57,8 @@ val apply :
 
     + {e vet}: the six-check [Tycheck.flow_config] analysis must prove
       the image clean ({!Tytan_analysis.Tycheck.strict_ok}); the vet is
-      charged to the platform clock at the loader's published rates;
+      charged to the platform clock at the loader's published rates; a
+      refusal gives {!Tytan_analysis.Tycheck.strict_refusal}'s reason;
     + {e stage}: the new version loads suspended while the old one keeps
       running, exactly as {!update_task};
     + {e measure}: before the swap, the RTM measurement of the staged

@@ -1,16 +1,17 @@
 (** The admission gates every firmware image must clear — one code path
-    shared by the OTA installer (device-side, at staging), the rollout
-    engine (canary promotion) and the swarm campaign's pre-campaign
-    rollout, so a leaky image and a stale version are refused by the
-    same logic wherever they are presented. *)
+    shared by the OTA installer (device-side, at staging) and the
+    rollout engine (canary promotion), the fleet's one firmware-push
+    path, so a leaky image and a stale version are refused by the same
+    logic wherever they are presented.  [tytan ota --leaky] shows the
+    refusal at fleet scale. *)
 
 open Tytan_telf
 
 type verdict = {
   accepted : bool;  (** {!Tytan_analysis.Tycheck.strict_ok} *)
   refusal : string option;
-      (** the first non-clean finding (a proven violation when there is
-          one, else the first unknown) when the image was refused *)
+      (** {!Tytan_analysis.Tycheck.strict_refusal}: the first violation,
+          else the first unknown; [None] exactly when [accepted] *)
   vet_cycles : int;
       (** what a device's loader charges for the six-check vet of this
           image: [Cost_model.vet_cycles ~flow:true] over its text slots *)

@@ -14,7 +14,7 @@ let platform d = d.platform
 (* The deterministic firmware image a whole fleet runs: byte content is
    a fixed mix of the campaign seed and the offset, so every campaign
    with the same seed audits the same reference identity.  Shared with
-   the swarm campaign ({!Swarm}) so scalar audits and batched campaigns
+   the swarm campaign ({!Swarm}), whose scalar and incremental engines
    attest the very same binary. *)
 let reference_image ~seed ~size =
   Bytes.init size (fun i ->

@@ -2,10 +2,6 @@ open Tytan_core
 open Tytan_netsim
 module Crypto = Tytan_crypto
 module Cycles = Tytan_machine.Cycles
-module Isa = Tytan_machine.Isa
-module Telf = Tytan_telf.Telf
-module Tycheck = Tytan_analysis.Tycheck
-module Finding = Tytan_analysis.Finding
 module Fault_plan = Tytan_fault.Fault_plan
 module Obs = Tytan_obs.Obs
 
@@ -51,18 +47,6 @@ type epoch_stats = {
   verify_cycles : int;  (* verifier clock delta over this epoch *)
 }
 
-(* A firmware rollout pushed ahead of the campaign.  Every device vets
-   the image with the six-check flow configuration before measurement
-   and adoption requires the strict verdict (no violations and no
-   unknowns); the verdict is a pure function of the binary, so a leaky
-   image is refused platform-wide — the whole fleet stays on the
-   incumbent firmware and attests it as before. *)
-type rollout = {
-  accepted : bool;
-  refusal : string option;  (* first non-clean finding, when refused *)
-  vet_cycles_per_device : int;
-}
-
 type report = {
   mode : mode;
   devices : int;
@@ -73,7 +57,6 @@ type report = {
   queries_per_epoch : int;
   steady : bool;
   churn_permille : int;
-  rollout : rollout option;
   per_epoch : epoch_stats list;
   verifier_cycles : int;
   device_cycles : int;
@@ -132,8 +115,7 @@ let churn_events ~seed ~devices ~epochs ~churn_permille =
 let queries_per_epoch = 6
 
 let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
-    ?rollout:rollout_image ?obs ?(domains = 1) ?(steady = false)
-    ?(churn_permille = 0) () =
+    ?obs ?(domains = 1) ?(steady = false) ?(churn_permille = 0) () =
   if devices <= 0 then invalid_arg "Swarm.run: devices must be positive";
   if epochs <= 0 then invalid_arg "Swarm.run: epochs must be positive";
   if domains < 1 then invalid_arg "Swarm.run: domains must be positive";
@@ -143,37 +125,10 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     invalid_arg "Swarm.run: churn_permille out of range";
   let domains = max 1 (min domains devices) in
   let registry = Registry.of_seed ~name:"fleet" seed in
-  let rollout =
-    Option.map
-      (fun (telf : Telf.t) ->
-        (* One admission gate for the whole platform: the swarm's
-           pre-campaign rollout vets through the same [Tytan_ota.Gate]
-           the OTA installer runs device-side, so fleet-wide adoption
-           and per-device staging can never disagree on an image. *)
-        let v = Tytan_ota.Gate.vet telf in
-        {
-          accepted = v.Tytan_ota.Gate.accepted;
-          refusal = v.Tytan_ota.Gate.refusal;
-          vet_cycles_per_device = v.Tytan_ota.Gate.vet_cycles;
-        })
-      rollout_image
-  in
-  let image =
-    (* An accepted rollout replaces the incumbent firmware fleet-wide;
-       a refused one leaves every device attesting the old image. *)
-    match (rollout, rollout_image) with
-    | Some { accepted = true; _ }, Some telf -> Bytes.copy telf.Telf.image
-    | _ -> Fleet.reference_image ~seed ~size:512
-  in
+  let image = Fleet.reference_image ~seed ~size:512 in
   let fw_id = Task_id.of_image image in
   let verifier_clock = Cycles.create () in
   let device_clock = Cycles.create () in
-  (match rollout with
-  | Some r ->
-      (* Each device's loader vets the pushed binary before measuring
-         it, whatever the verdict turns out to be. *)
-      Cycles.charge device_clock (r.vet_cycles_per_device * devices)
-  | None -> ());
   (* Flight-recorder plumbing: epoch loops restart their local slice
      clock at 0, so recorded timestamps add this global base.  Recording
      charges nothing. *)
@@ -642,7 +597,6 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     queries_per_epoch;
     steady;
     churn_permille;
-    rollout;
     per_epoch = List.rev !stats;
     verifier_cycles = Cycles.now verifier_clock;
     device_cycles = Cycles.now device_clock;
@@ -674,15 +628,6 @@ let body r =
     r.loss_percent r.queries_per_epoch
     (if r.steady then "on" else "off")
     r.churn_permille;
-  (match r.rollout with
-  | None -> ()
-  | Some { accepted = true; vet_cycles_per_device; _ } ->
-      add "rollout: adopted fleet-wide (vet %d cycles/device)\n"
-        vet_cycles_per_device
-  | Some { accepted = false; refusal; vet_cycles_per_device } ->
-      add "rollout: refused fleet-wide (vet %d cycles/device): %s\n"
-        vet_cycles_per_device
-        (Option.value refusal ~default:"unspecified violation"));
   List.iter
     (fun s ->
       add
@@ -707,27 +652,6 @@ let to_string r = Fault_plan.stamp (body r)
 let equal a b = to_string a = to_string b
 
 let verdicts r = List.map (fun s -> s.verdicts) r.per_epoch
-
-let normalize_verdicts s =
-  String.map (fun c -> if c = 'a' then 'A' else c) s
-
-(* Mode-independent semantic content: what the verifier concluded about
-   each device ('a' carried folds into 'A' — both vouch for health),
-   how many health polls answered positive, how long settling took, and
-   whether the honest fleet survived.  Everything mode-specific (roots,
-   cache shape, batch count, cycle totals) is excluded, so scalar,
-   incremental and any domain count must all agree byte for byte on
-   identity-schedule campaigns. *)
-let semantic_digest r =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun s ->
-      Printf.ksprintf (Buffer.add_string b) "%s|%d|%d\n"
-        (normalize_verdicts s.verdicts)
-        s.healthy_polls s.slices)
-    r.per_epoch;
-  Buffer.add_string b (if r.survived then "survived" else "lost");
-  Crypto.Sha256.to_hex (Crypto.Sha256.digest_string (Buffer.contents b))
 
 (* A '?' verdict means a session never settled — the campaign engine
    itself failed to drive the protocol to a conclusion, which is an

@@ -5,7 +5,8 @@
     and its own device-side attestation key), runs [epochs] fresh-nonce
     attestation rounds against the shared reference firmware
     ({!Fleet.reference_image}), then polls fleet health
-    [queries_per_epoch] times per epoch.
+    [queries_per_epoch] times per epoch.  The swarm only attests;
+    firmware reaches a fleet through one path, the OTA rollout.
 
     Two verifier engines drive {e identical wire traffic} — per-device
     {!Tytan_netsim.Verifier} retry sessions labelled [serial/eN], so the
@@ -92,22 +93,6 @@ type epoch_stats = {
   verify_cycles : int;  (** verifier clock advance over this epoch *)
 }
 
-type rollout = {
-  accepted : bool;
-  refusal : string option;
-      (** the first non-clean finding (a proven violation when there is
-          one, else the first unknown) when the image was refused *)
-  vet_cycles_per_device : int;
-      (** what each device's loader charged for the six-check vet *)
-}
-(** Outcome of a firmware rollout pushed ahead of the campaign: every
-    device vets the image under [Tycheck.flow_config] before measuring
-    it, and adoption requires {!Tycheck.strict_ok} — an image the
-    analysis cannot prove clean (a Maybe-level flow, an unbounded WCET)
-    is refused alongside proven leaks.  The verdict is a pure function
-    of the binary, so a refusal is platform-wide — the fleet stays on
-    the incumbent firmware. *)
-
 type report = {
   mode : mode;
   devices : int;
@@ -118,7 +103,6 @@ type report = {
   queries_per_epoch : int;
   steady : bool;
   churn_permille : int;
-  rollout : rollout option;
   per_epoch : epoch_stats list;
   verifier_cycles : int;
   device_cycles : int;
@@ -143,21 +127,14 @@ val run :
   seed:int ->
   ?faults:bool ->
   ?loss_percent:int ->
-  ?rollout:Tytan_telf.Telf.t ->
   ?obs:Tytan_obs.Obs.Log.t ->
   ?domains:int ->
   ?steady:bool ->
   ?churn_permille:int ->
   unit ->
   report
-(** Defaults: no faults, 10% frame loss, 6 health polls per epoch, no
-    rollout, [domains = 1], [steady = false], [churn_permille = 0].
-    With [~rollout] the campaign first pushes that TELF to
-    every device: an image that survives the six-check vet is adopted
-    as the fleet firmware (and attested from then on); one that does
-    not — a leaky image copying key material into an IPC payload, say —
-    is refused by every device, and the campaign proceeds on the old
-    firmware.  Vet cycles are charged to the device clock either way.
+(** Defaults: no faults, 10% frame loss, 6 health polls per epoch,
+    [domains = 1], [steady = false], [churn_permille = 0].
 
     With [?obs] every admission, settled verdict and sealed Merkle
     epoch is recorded in the flight recorder: epoch correlation ids
@@ -180,14 +157,6 @@ val to_string : report -> string
 
 val equal : report -> report -> bool
 (** Rendering equality — the [--verify] comparison. *)
-
-val semantic_digest : report -> string
-(** SHA-256 hex over the mode-independent semantic content: per-epoch
-    verdict strings with ['a'] normalised to ['A'] (a carried device is
-    vouched-for exactly like an attested one), healthy-poll counts,
-    settle slices, and survival.  Mode-specific shape (roots, batch and
-    cache counts, cycle totals) is excluded, so scalar and incremental
-    runs of the same identity-schedule campaign must agree. *)
 
 val campaign_failed : report -> bool
 (** True when any session verdict is ['?'] (pending): the campaign

@@ -542,6 +542,32 @@ let chaos_tests =
 let tycheck_fuzz_tests =
   let module Telf = Tytan_telf.Telf in
   let module Tycheck = Tytan_analysis.Tycheck in
+  let module Finding = Tytan_analysis.Finding in
+  let module Tasks = Tytan_tasks.Task_lib in
+  (* One seeded mutation of an encoded binary. *)
+  let mutate rng original =
+    let b = Bytes.copy original in
+    let n = Bytes.length b in
+    (match Fault_plan.Prng.int rng 3 with
+    | 0 ->
+        (* flip bits somewhere, header included *)
+        let pos = Fault_plan.Prng.int rng n in
+        Bytes.set b pos
+          (Char.chr
+             (Char.code (Bytes.get b pos) lxor (1 + Fault_plan.Prng.int rng 255)))
+    | 1 ->
+        (* clobber a whole instruction slot with garbage *)
+        let slot = Fault_plan.Prng.int rng (n / 8) in
+        for k = 0 to 7 do
+          if (slot * 8) + k < n then
+            Bytes.set b ((slot * 8) + k) (Char.chr (Fault_plan.Prng.int rng 256))
+        done
+    | _ ->
+        (* corrupt a header field *)
+        let pos = Fault_plan.Prng.int rng (min n Telf.header_size) in
+        Bytes.set b pos (Char.chr (Fault_plan.Prng.int rng 256)));
+    b
+  in
   [
     Alcotest.test_case "tycheck never raises on random images" `Quick
       (fun () ->
@@ -569,29 +595,7 @@ let tycheck_fuzz_tests =
         let original = Telf.encode (Tytan_tasks.Task_lib.counter ()) in
         let decoded = ref 0 in
         for _ = 1 to 1000 do
-          let b = Bytes.copy original in
-          let n = Bytes.length b in
-          (match Fault_plan.Prng.int rng 3 with
-          | 0 ->
-              (* flip bits somewhere, header included *)
-              let pos = Fault_plan.Prng.int rng n in
-              Bytes.set b pos
-                (Char.chr
-                   (Char.code (Bytes.get b pos)
-                   lxor (1 + Fault_plan.Prng.int rng 255)))
-          | 1 ->
-              (* clobber a whole instruction slot with garbage *)
-              let slot = Fault_plan.Prng.int rng (n / 8) in
-              for k = 0 to 7 do
-                if (slot * 8) + k < n then
-                  Bytes.set b ((slot * 8) + k)
-                    (Char.chr (Fault_plan.Prng.int rng 256))
-              done
-          | _ ->
-              (* corrupt a header field *)
-              let pos = Fault_plan.Prng.int rng (min n Telf.header_size) in
-              Bytes.set b pos (Char.chr (Fault_plan.Prng.int rng 256)));
-          match Telf.decode b with
+          match Telf.decode (mutate rng original) with
           | Error _ -> ()
           | Ok telf -> (
               incr decoded;
@@ -604,6 +608,46 @@ let tycheck_fuzz_tests =
                   Alcotest.failf "tycheck raised %s" (Printexc.to_string e))
         done;
         check_bool "some mutants reached the analysis" true (!decoded > 0));
+    Alcotest.test_case "strict refusal is the first violation, else unknown"
+      `Quick (fun () ->
+        (* The oracle scans for the rule [strict_refusal] reads off the
+           head of the sorted findings. *)
+        let oracle report =
+          match Tycheck.first_violation report with
+          | Some _ as v -> v
+          | None ->
+              List.find_opt
+                (fun f -> f.Finding.severity <> Finding.Info)
+                report.Tycheck.findings
+              |> Option.map (Format.asprintf "%a" Finding.pp)
+        in
+        let rng = Fault_plan.Prng.create 0x5EF0 in
+        let refused = ref 0 and accepted = ref 0 in
+        List.iter
+          (fun telf ->
+            let original = Telf.encode telf in
+            for i = 0 to 200 do
+              let b = if i = 0 then original else mutate rng original in
+              match Telf.decode b with
+              | Error _ -> ()
+              | Ok telf ->
+                  let report = Tycheck.check ~config:Tycheck.flow_config telf in
+                  let refusal = Tycheck.strict_refusal report in
+                  Alcotest.(check (option string))
+                    "first violation, else first unknown" (oracle report)
+                    refusal;
+                  check_bool "None exactly when strict_ok"
+                    (Tycheck.strict_ok report) (refusal = None);
+                  incr (if refusal = None then accepted else refused)
+            done)
+          [
+            Tasks.counter ();
+            Tasks.busy_loop ();
+            Tasks.key_leaker
+              ~receiver:(Task_id.of_image (Bytes.of_string "exfil-sink"))
+              ();
+          ];
+        check_bool "both verdicts exercised" true (!refused > 0 && !accepted > 0));
   ]
 
 let () =

@@ -71,6 +71,26 @@ let differential_tests =
 
 (* --- Two-mode soak: scalar == incremental ----------------------------------- *)
 
+(* The soak's oracle: SHA-256 over what the verifier concluded about
+   each device ('a' carried folds into 'A' — both vouch for health),
+   how many health polls answered positive, how long settling took,
+   and whether the honest fleet survived.  Everything mode-specific
+   (roots, cache shape, batch count, cycle totals) is excluded, so
+   scalar, incremental and any domain count must all agree byte for
+   byte on identity-schedule campaigns. *)
+let normalize_verdicts s = String.map (fun c -> if c = 'a' then 'A' else c) s
+
+let semantic_digest (r : Swarm.report) =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (s : Swarm.epoch_stats) ->
+      Printf.ksprintf (Buffer.add_string b) "%s|%d|%d\n"
+        (normalize_verdicts s.Swarm.verdicts)
+        s.Swarm.healthy_polls s.Swarm.slices)
+    r.Swarm.per_epoch;
+  Buffer.add_string b (if r.Swarm.survived then "survived" else "lost");
+  Crypto.Sha256.to_hex (Crypto.Sha256.digest_string (Buffer.contents b))
+
 (* On an identity schedule (no --steady) both engines must agree:
    incremental is checked verdict-by-verdict against scalar, and the
    mode-independent semantic digest must match exactly.  20
@@ -99,8 +119,7 @@ let soak_tests =
               (Swarm.verdicts s) (Swarm.verdicts i);
             Alcotest.(check string)
               (ctx ^ ": semantic digest scalar/incremental")
-              (Swarm.semantic_digest s)
-              (Swarm.semantic_digest i);
+              (semantic_digest s) (semantic_digest i);
             Alcotest.(check bool)
               (ctx ^ ": survival verdict")
               s.Swarm.survived i.Swarm.survived)
@@ -508,91 +527,6 @@ let aggregator_tests =
         | l -> Alcotest.failf "expected two deltas, got %d" (List.length l)));
   ]
 
-(* --- Firmware rollout: fleet-wide flow vet --------------------------------- *)
-
-module Tasks = Tytan_tasks.Task_lib
-module Task_id = Tytan_core.Task_id
-
-let rollout_run image =
-  Swarm.run ~mode:Swarm.Incremental ~devices:8 ~epochs:2 ~seed:3 ~rollout:image
-    ()
-
-let rollout_tests =
-  [
-    Alcotest.test_case "leaky image refused fleet-wide" `Quick (fun () ->
-        let leaky =
-          Tasks.key_leaker
-            ~receiver:(Task_id.of_image (Bytes.of_string "exfil-sink"))
-            ()
-        in
-        let r = rollout_run leaky in
-        match r.Swarm.rollout with
-        | Some { Swarm.accepted; refusal; vet_cycles_per_device } ->
-            Alcotest.(check bool) "refused" false accepted;
-            Alcotest.(check bool) "vet charged" true (vet_cycles_per_device > 0);
-            let msg = Option.value refusal ~default:"" in
-            Alcotest.(check bool)
-              "refusal names the secret flow" true
-              (let has sub =
-                 let n = String.length sub in
-                 let rec go i =
-                   i + n <= String.length msg
-                   && (String.sub msg i n = sub || go (i + 1))
-                 in
-                 go 0
-               in
-               has "flow" && has "IPC payload");
-            (* the fleet stays on — and attests — the incumbent firmware *)
-            let incumbent =
-              Swarm.run ~mode:Swarm.Incremental ~devices:8 ~epochs:2 ~seed:3 ()
-            in
-            Alcotest.(check (list string))
-              "campaign identical to one with no rollout at all"
-              (Swarm.verdicts incumbent) (Swarm.verdicts r)
-        | None -> Alcotest.fail "expected a rollout outcome in the report");
-    Alcotest.test_case "clean image adopted fleet-wide" `Quick (fun () ->
-        let clean = Tasks.counter () in
-        let r = rollout_run clean in
-        match r.Swarm.rollout with
-        | Some { Swarm.accepted; refusal; _ } ->
-            Alcotest.(check bool) "adopted" true accepted;
-            Alcotest.(check bool) "no refusal" true (refusal = None);
-            Alcotest.(check bool) "fleet survived on new firmware" true
-              r.Swarm.survived;
-            (* adopting new firmware changes what the fleet measures, so
-               the sealed roots must differ from the incumbent campaign *)
-            let incumbent =
-              Swarm.run ~mode:Swarm.Incremental ~devices:8 ~epochs:2 ~seed:3 ()
-            in
-            Alcotest.(check bool) "different measurement roots" true
-              (List.exists2
-                 (fun (a : Swarm.epoch_stats) (b : Swarm.epoch_stats) ->
-                   a.Swarm.root_hex <> b.Swarm.root_hex)
-                 incumbent.Swarm.per_epoch r.Swarm.per_epoch)
-        | None -> Alcotest.fail "expected a rollout outcome in the report");
-    Alcotest.test_case "rollout verdict identical across engines" `Quick
-      (fun () ->
-        let leaky =
-          Tasks.key_leaker
-            ~receiver:(Task_id.of_image (Bytes.of_string "exfil-sink"))
-            ()
-        in
-        let run mode =
-          Swarm.run ~mode ~devices:5 ~epochs:2 ~seed:9 ~rollout:leaky ()
-        in
-        let s = run Swarm.Scalar and i = run Swarm.Incremental in
-        Alcotest.(check bool) "same acceptance" true
-          (match (s.Swarm.rollout, i.Swarm.rollout) with
-          | Some a, Some b ->
-              a.Swarm.accepted = b.Swarm.accepted
-              && a.Swarm.refusal = b.Swarm.refusal
-              && a.Swarm.vet_cycles_per_device = b.Swarm.vet_cycles_per_device
-          | _ -> false);
-        Alcotest.(check (list string))
-          "verdicts still byte-identical" (Swarm.verdicts s)
-          (Swarm.verdicts i));
-  ]
-
 let () =
   Alcotest.run "fleet"
     [
@@ -602,5 +536,4 @@ let () =
       ("steady", steady_tests);
       ("ratio", ratio_tests);
       ("aggregator", aggregator_tests);
-      ("rollout", rollout_tests);
     ]

@@ -13,7 +13,6 @@ module Tasks = Tytan_tasks.Task_lib
 module Sha1 = Tytan_crypto.Sha1
 module Telf = Tytan_telf.Telf
 module Chaos = Tytan_fault.Chaos
-module Swarm = Tytan_provision.Swarm
 module Gateway = Tytan_serve.Gateway
 
 let check_bool = Alcotest.(check bool)
@@ -805,32 +804,40 @@ let rollout_tests =
         done);
   ]
 
-(* --- One gate for swarm and installer (unification) --------------------------- *)
+(* --- One strict-vet refusal for the gate and Update.apply ------------------- *)
 
 let gate_tests =
   [
-    Alcotest.test_case "swarm rollout verdict is the ota gate's verdict" `Quick
+    Alcotest.test_case "the gate refuses the key leaker by its flow" `Quick
       (fun () ->
-        let leaky =
-          Tasks.key_leaker
-            ~receiver:(Task_id.of_image (Bytes.of_string "exfil-sink"))
-            ()
-        in
-        let v = Gate.vet leaky in
-        check_bool "gate refuses" false v.Gate.accepted;
-        let r =
-          Swarm.run ~mode:Swarm.Incremental ~devices:4 ~epochs:1 ~seed:1
-            ~rollout:leaky ()
-        in
-        let sr = Option.get r.Swarm.rollout in
-        check_bool "same verdict" false sr.Swarm.accepted;
-        check_bool "same refusal text" true
-          (sr.Swarm.refusal = v.Gate.refusal);
-        check_int "same per-device vet bill" v.Gate.vet_cycles
-          sr.Swarm.vet_cycles_per_device;
+        let v = Gate.vet (leaky_image ()) in
+        check_bool "refused" false v.Gate.accepted;
+        check_bool "vet charged" true (v.Gate.vet_cycles > 0);
+        let msg = Option.value v.Gate.refusal ~default:"" in
+        check_bool "refusal names the secret flow" true
+          (contains ~sub:"flow" msg && contains ~sub:"IPC payload" msg);
         let clean = Gate.vet (Tasks.counter ()) in
         check_bool "clean accepted with no refusal" true
           (clean.Gate.accepted && clean.Gate.refusal = None));
+    Alcotest.test_case "an unknown refuses with the gate's reason" `Quick
+      (fun () ->
+        (* busy_loop is isolated, so its only non-Info finding is the
+           unbounded-WCET unknown: both paths must name it. *)
+        let busy = Tasks.busy_loop () in
+        let v = Gate.vet busy in
+        check_bool "gate refuses" false v.Gate.accepted;
+        let reason = Option.value v.Gate.refusal ~default:"" in
+        check_bool "the gate names the WCET finding" true
+          (contains ~sub:"wcet" reason);
+        let p = Platform.create () in
+        let old_task = load p "svc" (Tasks.counter ()) in
+        (match Update.apply p ~old_task busy with
+        | Error e ->
+            Alcotest.(check string) "Update.apply gives the same reason"
+              ("vet refused: " ^ reason) e
+        | Ok _ -> Alcotest.fail "an unproven image was activated");
+        check_bool "old keeps running" true
+          (old_task.Tcb.state <> Tcb.Terminated));
   ]
 
 (* --- Closed-loop serve arrivals ---------------------------------------------- *)

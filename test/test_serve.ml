@@ -430,7 +430,6 @@ let mk_swarm_report verdicts : Swarm.report =
     queries_per_epoch = 0;
     steady = false;
     churn_permille = 0;
-    rollout = None;
     per_epoch =
       [
         {
