@@ -71,7 +71,6 @@ let read_platform_key t =
 let charged t f = Cost_model.charge_hashing (Cpu.clock t.cpu) f
 
 let local_attest t id = Rtm.find t.rtm id <> None
-let loaded_identities t = List.map (fun e -> e.Rtm.id) (Rtm.all t.rtm)
 
 let report_payload ~id ~nonce = Bytes.cat nonce (Task_id.to_bytes id)
 
@@ -136,8 +135,6 @@ let expected_mac ~ka ~id ~nonce = Crypto.Hmac.mac ~key:ka (report_payload ~id ~n
    same Ka, so it precomputes the HMAC key schedule once per device and
    pays only the message compressions per report. *)
 type mac_state = Crypto.Hmac.state
-
-let prepare_mac ~ka = Crypto.Hmac.prepare ~key:ka
 
 let expected_mac_with state ~id ~nonce =
   Crypto.Hmac.mac_with state (report_payload ~id ~nonce)

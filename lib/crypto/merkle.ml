@@ -38,7 +38,6 @@ let build leaves =
   { levels = Array.of_list (up [] base); count = n }
 
 let root t = Bytes.copy t.levels.(Array.length t.levels - 1).(0)
-let leaf_count t = t.count
 
 let proof t index =
   if index < 0 || index >= t.count then invalid_arg "Merkle.proof: bad index";

@@ -65,10 +65,9 @@ type t = {
   retain : retain_state option;
   current_roots : (string, unit) Hashtbl.t;
   mutable epoch : int;
-  mutable pending : (string * bytes) list;  (* newest first; Rebuild *)
+  mutable pending : bytes list;  (* Rebuild's leaves, newest first *)
   mutable pending_count : int;
   mutable batches : batch list;  (* newest first *)
-  mutable last_tree : (Crypto.Merkle.t * bytes array) option;
   mutable seal_hook : (epoch:int -> root:bytes -> leaves:int -> unit) option;
 }
 
@@ -121,7 +120,6 @@ let create ~ka_of ~clock ?(kind = Rebuild) ?(shards = 1) () =
     pending = [];
     pending_count = 0;
     batches = [];
-    last_tree = None;
     seal_hook = None;
   }
 
@@ -136,27 +134,13 @@ let record_seal t ~root ~size =
   | Some f -> f ~epoch:t.epoch ~root ~leaves:size
   | None -> ()
 
-let mark_sealed t serial root =
-  Array.iter
-    (fun sh ->
-      match Hashtbl.find_opt sh.cache serial with
-      | Some e -> e.sealed_root <- Some root
-      | None -> ())
-    t.shards
-
 let seal_rebuild t =
   if t.pending_count > 0 then begin
-    let leaves =
-      Array.of_list (List.rev_map (fun (_, leaf) -> leaf) t.pending)
-    in
-    let serials = List.rev_map fst t.pending in
+    let leaves = Array.of_list (List.rev t.pending) in
     let tree =
       Cost_model.charge_hashing t.clock (fun () -> Crypto.Merkle.build leaves)
     in
-    let root = Crypto.Merkle.root tree in
-    List.iter (fun serial -> mark_sealed t serial root) serials;
-    t.last_tree <- Some (tree, leaves);
-    record_seal t ~root ~size:t.pending_count;
+    record_seal t ~root:(Crypto.Merkle.root tree) ~size:t.pending_count;
     t.pending <- [];
     t.pending_count <- 0
   end
@@ -297,7 +281,7 @@ let leaf_payload ~serial ~(report : Attestation.report) =
 let batch_limit = 256
 
 let admit_rebuild t ~serial report =
-  t.pending <- (serial, leaf_payload ~serial ~report) :: t.pending;
+  t.pending <- leaf_payload ~serial ~report :: t.pending;
   t.pending_count <- t.pending_count + 1;
   if t.pending_count >= batch_limit then seal_rebuild t
 
@@ -425,8 +409,6 @@ let live_leaves t =
 
 let batches t =
   List.rev_map (fun (b : batch) -> (b.epoch, Bytes.copy b.root, b.size)) t.batches
-
-let last_tree t = t.last_tree
 
 let sum_shards t f = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards
 let cache_hits t = sum_shards t (fun sh -> sh.hits)

@@ -18,10 +18,11 @@
       epoch's nonce — serving it across epochs would accept a replay
       (DESIGN.md §13).
     - {b Merkle batching} ([Rebuild], the default; the verifier
-      gateway's aggregation): verified reports are
-      admitted as SHA-256 leaves and sealed into epoch-stamped
-      {!Tytan_crypto.Merkle} roots; {!query} answers fleet-health polls
-      in O(1) with a cache probe plus a single root check.
+      gateway's aggregation): verified reports are admitted as SHA-256
+      leaves and sealed into epoch-stamped {!Tytan_crypto.Merkle}
+      roots, which {!batches} and the {!on_seal} observer report.  No
+      fleet-health poll reads them: {!query} answers only under
+      [Retain].
     - {b Incremental aggregation} ([Retain], the swarm's incremental
       engine): per-device leaves persist
       across epochs in a {!Tytan_crypto.Merkle.Inc} tree keyed by the
@@ -132,9 +133,11 @@ val flush : t -> unit
     epoch's collection phase).  Call {!drain} first when sharded. *)
 
 val query : ?shard:int -> t -> serial:string -> epoch:int -> bool
-(** O(1) fleet-health poll: is this device's measurement verified {e in
-    this epoch} and sealed under a current-epoch root?  [false] for any
-    other epoch, unsealed entries, and unknown devices. *)
+(** O(1) fleet-health poll of a [Retain] aggregator, with a cache probe
+    plus a single root check: is this device's measurement verified {e
+    in this epoch} and sealed under a current-epoch root?  [false] for
+    any other epoch, unsealed entries and unknown devices, and always
+    under [Rebuild], whose seals stamp no cache entry. *)
 
 val carry : t -> serial:string -> bool
 (** [Retain] only: mark a live device's slot as still-alive this epoch
@@ -160,10 +163,6 @@ val live_leaves : t -> int
 
 val batches : t -> (int * bytes * int) list
 (** Sealed [(epoch, root, size)] triples, oldest first. *)
-
-val last_tree : t -> (Crypto.Merkle.t * bytes array) option
-(** The most recently sealed [Rebuild] tree with its leaf payloads —
-    membership proofs for audit ([Merkle.proof] / [Merkle.verify]). *)
 
 val cache_hits : t -> int
 val cache_misses : t -> int

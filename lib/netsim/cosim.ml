@@ -25,12 +25,7 @@ type t = {
   mutable unknown : int;
 }
 
-let create platform ~link ?slice_cycles ?advance () =
-  let slice_cycles =
-    match slice_cycles with
-    | Some c -> c
-    | None -> (Platform.config platform).Platform.tick_period
-  in
+let create platform ~link ?advance () =
   let advance =
     match advance with
     | Some f -> f
@@ -39,7 +34,7 @@ let create platform ~link ?slice_cycles ?advance () =
   {
     platform;
     link;
-    slice_cycles;
+    slice_cycles = (Platform.config platform).Platform.tick_period;
     advance;
     verifiers = [];
     cfa_responder = None;

@@ -14,12 +14,11 @@ type t
 val create :
   Platform.t ->
   link:Link.t ->
-  ?slice_cycles:int ->
   ?advance:(cycles:int -> unit) ->
   unit ->
   t
-(** [slice_cycles] defaults to one tick period.  [advance] replaces the
-    default device-advance function ([Platform.run]); the fault injector
+(** Each slice advances the device by one tick period.  [advance]
+    replaces the default device-advance function ([Platform.run]); the fault injector
     passes its own so scheduled faults keep firing while a co-simulation
     drives the device. *)
 

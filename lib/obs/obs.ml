@@ -511,30 +511,6 @@ module Trail = struct
       | Some p -> Export.json_string p)
       (Export.json_string (Event.label r.event))
       (Export.json_string (Event.render r.event))
-
-  let to_json log ~corr =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n";
-    Buffer.add_string buf
-      (Printf.sprintf "  \"corr\": %s,\n" (Export.json_string corr));
-    Buffer.add_string buf "  \"chain\": [";
-    let chain = ancestors log ~corr @ [ corr ] in
-    List.iteri
-      (fun i c ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf (Export.json_string c))
-      chain;
-    Buffer.add_string buf "],\n  \"records\": [\n";
-    let rs = trace log ~corr in
-    let n = List.length rs in
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf ("    " ^ record_json r);
-        if i < n - 1 then Buffer.add_string buf ",";
-        Buffer.add_string buf "\n")
-      rs;
-    Buffer.add_string buf "  ]\n}\n";
-    Buffer.contents buf
 end
 
 let first_at log =

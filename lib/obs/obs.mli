@@ -151,10 +151,6 @@ module Trail : sig
   val trace : Log.t -> corr:string -> record list
   (** Every record belonging to {!members}, in log order — the full
       causal chain behind an outcome. *)
-
-  val to_json : Log.t -> corr:string -> string
-  (** Deterministic JSON rendering of the trail: the ancestor chain
-      and the traced records. *)
 end
 
 val flows_of_log : Log.t -> Tytan_telemetry.Export.flow list

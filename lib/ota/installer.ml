@@ -39,7 +39,6 @@ type t = {
   mutable vet_refusals : int;
   mutable digest_refusals : int;
   mutable malformed : int;
-  mutable chunks_received : int;
   mutable staged_bytes : int;
   mutable update_cycles : int;  (* device cycles burnt in OTA handling *)
   mutable last_refusal_cycles : int;
@@ -63,15 +62,12 @@ let create ~serial ~ka ~clock ~counter ~loaded ?persist () =
     vet_refusals = 0;
     digest_refusals = 0;
     malformed = 0;
-    chunks_received = 0;
     staged_bytes = 0;
     update_cycles = 0;
     last_refusal_cycles = 0;
   }
 
-let serial t = t.serial
 let loaded t = t.loaded
-let counter t = t.counter
 let counter_value t = Devices.Monotonic_counter.value t.counter
 let activations t = t.activations
 let rollback_refusals t = t.rollback_refusals
@@ -79,7 +75,6 @@ let vet_refusals t = t.vet_refusals
 let auth_refusals t = t.auth_refusals
 let digest_refusals t = t.digest_refusals
 let staged_bytes t = t.staged_bytes
-let chunks_received t = t.chunks_received
 let malformed t = t.malformed
 let update_cycles t = t.update_cycles
 let last_refusal_cycles t = t.last_refusal_cycles
@@ -249,7 +244,6 @@ let on_chunk t ~seq ~offset ~data =
   | Some tr when tr.seq <> seq -> replayed t seq
   | Some tr ->
       Cycles.charge t.clock Cost_model.ota_chunk_base;
-      t.chunks_received <- t.chunks_received + 1;
       let len = Bytes.length data in
       if offset = tr.have && offset + len <= tr.size then begin
         Bytes.blit data 0 tr.buf offset len;

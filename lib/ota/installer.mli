@@ -63,9 +63,7 @@ val on_frame : t -> bytes -> Tytan_netsim.Protocol.message list
     same bytes; replies, counters and device cycles are the same
     whether it does or not. *)
 
-val serial : t -> string
 val loaded : t -> Task_id.t
-val counter : t -> Devices.Monotonic_counter.t
 val counter_value : t -> int
 val activations : t -> int
 val rollback_refusals : t -> int
@@ -73,7 +71,6 @@ val vet_refusals : t -> int
 val auth_refusals : t -> int
 val digest_refusals : t -> int
 val staged_bytes : t -> int
-val chunks_received : t -> int
 
 val malformed : t -> int
 (** Frames that died in the defensive decoder (truncated or corrupted)

@@ -94,8 +94,40 @@ type dev = {
   ka : bytes;  (* controller-side copy of the device's Ka *)
   mutable quarantined : bool;
   mutable truncate_left : int;
-  nvm : bytes option ref;  (* sealed counter snapshot (persistence) *)
 }
+
+(* One campaign, built afresh by each [run]: nothing in it outlives the
+   call. *)
+type campaign = {
+  fleet : dev array;
+  controller_clock : Cycles.t;
+  device_clock : Cycles.t;
+  obs : Obs.Log.t option;
+  mutable obs_at : int;
+      (* the global slice offset: each phase's loop restarts its local
+         clock at 0, so flight-recorder timestamps add this base *)
+  mutable truncated : int;  (* frames bitten by [Frame_truncate] faults *)
+}
+
+let wave_corr wave = Printf.sprintf "ota/wave-%d" wave
+let dev_corr ~wave serial = Printf.sprintf "ota/%s/w%d" serial wave
+
+(* The flight recorder charges nothing. *)
+let observe c ~corr ~at event =
+  match c.obs with
+  | None -> ()
+  | Some log -> Obs.Log.record log ~corr ~at event
+
+(* The refusal verdicts: each one's flight-recorder reason, and the text
+   a refusing canary aborts its wave with. *)
+let refusal = function
+  | 'R' -> ("rollback", "rollback-refused")
+  | 'V' -> ("vet", "vet-refused")
+  | 'M' -> ("auth", "auth-refused")
+  | 'D' -> ("digest", "digest-refused")
+  | 'X' -> ("crash", "crashed mid-swap")
+  | 'G' -> ("unreachable", "unreachable")
+  | _ -> invalid_arg "Rollout.refusal: not a refusal"
 
 (* ---- one OTA transfer session (controller side) ----------------------- *)
 
@@ -118,6 +150,22 @@ type sess = {
   mutable last_sent : int;
   mutable counter_after : int;
 }
+
+let is_done s = match s.state with `Done _ -> true | `Offer | `Stream -> false
+let applied s = s.state = `Done 'A'
+let letter s = match s.state with `Done v -> v | `Offer | `Stream -> '?'
+
+(* A session's terminal verdict on its device's trail: the swap and the
+   counter it reached, or the refusal's reason. *)
+let record_verdict c ~wave ~at s =
+  match (c.obs, s.state) with
+  | Some log, `Done v ->
+      let serial = s.dev.serial in
+      Obs.Log.record log ~corr:(dev_corr ~wave serial) ~at
+        (if v = 'A' then
+           Obs.Event.Swap_applied { serial; counter = s.counter_after }
+         else Obs.Event.Update_refused { serial; reason = fst (refusal v) })
+  | _ -> ()
 
 (* End of the go-back-N window: chunks before it may be in flight. *)
 let window_limit s =
@@ -218,13 +266,13 @@ let controller_on_frame s ~at frame =
 
 (* Device side of a slice: deliver inbound frames (after any armed
    truncation fault bites them), let the installer answer. *)
-let device_step (d : dev) ~at ~truncated =
+let device_step c (d : dev) ~at =
   List.iter
     (fun frame ->
       let frame =
         if d.truncate_left > 0 && Bytes.length frame > 1 then begin
           d.truncate_left <- d.truncate_left - 1;
-          incr truncated;
+          c.truncated <- c.truncated + 1;
           Bytes.sub frame 0 (Bytes.length frame / 2)
         end
         else frame
@@ -237,8 +285,7 @@ let device_step (d : dev) ~at ~truncated =
 
 (* ---- post-swap attestation (static + CFA) ----------------------------- *)
 
-let attest_gate ~controller_clock ~wave (cohort : dev list) ~expected ~truncated
-    =
+let attest_gate c ~wave (cohort : dev list) ~expected =
   let backoff = Verifier.default_backoff in
   let slice_cap = Verifier.settle_cap backoff in
   let genesis = Attestation.cf_genesis ~id:expected in
@@ -279,7 +326,7 @@ let attest_gate ~controller_clock ~wave (cohort : dev list) ~expected ~truncated
          let next =
            Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
                let d, vs = gate.(i) in
-               device_step d ~at ~truncated;
+               device_step c d ~at;
                (* Both sessions share the device's link: drain once, fan
                   every frame out to both (each ignores the other's
                   sequences). *)
@@ -289,7 +336,7 @@ let attest_gate ~controller_clock ~wave (cohort : dev list) ~expected ~truncated
                    let was_pending = Verifier.outcome v = Verifier.Pending in
                    List.iter
                      (fun frame ->
-                       Cost_model.charge_hashing controller_clock (fun () ->
+                       Cost_model.charge_hashing c.controller_clock (fun () ->
                            Verifier.on_frame v frame))
                      frames;
                    (match Verifier.poll v ~at with
@@ -311,6 +358,212 @@ let attest_gate ~controller_clock ~wave (cohort : dev list) ~expected ~truncated
 
 (* ---- the campaign ----------------------------------------------------- *)
 
+(* Offer the image to [cohort], one session per device in cohort order,
+   and run wake-driven slices until every session settles or the cap
+   runs out; returns the sessions and the slices used.  A session in
+   [`Done '?'] (its controller gave up) can still turn [A] on a late ack
+   while the loop runs, so only after it are the unsettled sessions
+   finished: [X] if the device crashed, else [G]. *)
+let transfer c ~wave ~version ~id ~payload ~digest cohort =
+  let base = c.obs_at in
+  let size = Bytes.length payload in
+  let sessions =
+    List.map
+      (fun d ->
+        let seq = (wave * 10_000) + d.index in
+        let mac =
+          Cost_model.charge_hashing c.controller_clock (fun () ->
+              Attestation.update_mac ~ka:d.ka ~id ~version ~size ~digest)
+        in
+        (match c.obs with
+        | Some log ->
+            let corr =
+              Obs.Log.mint log ~parent:(wave_corr wave)
+                (dev_corr ~wave d.serial)
+            in
+            Obs.Log.record log ~corr ~at:base
+              (Obs.Event.Offer_sent { serial = d.serial; version })
+        | None -> ());
+        {
+          dev = d;
+          seq;
+          offer =
+            Protocol.encode
+              (Protocol.UpdateOffer { seq; id; version; size; digest; mac });
+          payload;
+          state = `Offer;
+          opened = false;
+          next_needed = 0;
+          cursor = 0;
+          dup_acks = 0;
+          attempts = 0;
+          last_sent = -1000;
+          counter_after = -1;
+        })
+      cohort
+  in
+  let cap =
+    64
+    + (8 * ((size / chunk_size) + 1))
+    + (retry_timeout * session_attempts * 2)
+  in
+  (* Wake-driven slices, as in [attest_gate]: each slice visits, in
+     session order, only the sessions whose link has a frame due or
+     whose controller can send — device side, then controller — and
+     [settle] jumps to the next slice in which any of them can act. *)
+  let live = Array.of_list sessions in
+  let active = Link.Wake_set.create ~universe:(Array.length live) in
+  Array.iteri (fun i _ -> Link.Wake_set.add active i) live;
+  let wake i =
+    let s = live.(i) in
+    min (Link.next_due s.dev.link) (session_wake s)
+  in
+  let slices =
+    Link.Wake_set.settle ~cap ~pending:(Array.length live) (fun ~at ->
+        let settled = ref 0 in
+        let next =
+          Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
+              let s = live.(i) in
+              device_step c s.dev ~at;
+              let was_done = is_done s in
+              List.iter
+                (fun frame ->
+                  let was_opened = s.opened in
+                  let before = s.state in
+                  controller_on_frame s ~at frame;
+                  if c.obs <> None then begin
+                    if (not was_opened) && s.opened then
+                      observe c ~corr:(dev_corr ~wave s.dev.serial)
+                        ~at:(base + at)
+                        (Obs.Event.Transfer_staged { serial = s.dev.serial });
+                    if before <> s.state then
+                      record_verdict c ~wave ~at:(base + at) s
+                  end)
+                (Link.deliver s.dev.link ~to_:Link.Remote ~at);
+              controller_poll s ~at;
+              if (not was_done) && is_done s then incr settled)
+        in
+        (!settled, next))
+  in
+  List.iter
+    (fun s ->
+      match s.state with
+      | `Done '?' | `Offer | `Stream ->
+          s.state <-
+            `Done (if Installer.crashed s.dev.installer then 'X' else 'G');
+          record_verdict c ~wave ~at:(base + slices) s
+      | `Done _ -> ())
+    sessions;
+  c.obs_at <- base + slices;
+  (sessions, slices)
+
+(* One wave: arm its faults, offer it to the canary cohort, gate on every
+   canary applying it and passing post-swap attestation, then promote it
+   to the rest of the fleet or abort. *)
+let run_wave c ~canary ~plan wave (w : wave_spec) =
+  let corr = wave_corr wave in
+  observe c ~corr ~at:c.obs_at
+    (Obs.Event.Wave_opened { wave; label = w.label; version = w.version });
+  (* Re-admit last wave's crash victims (they rebooted into the
+     incumbent); quarantine decisions stand. *)
+  Array.iter (fun d -> Installer.clear_crash d.installer) c.fleet;
+  List.iter
+    (fun (at_wave, device, fault) ->
+      if at_wave = wave then
+        let d = c.fleet.(device) in
+        match fault with
+        | Frame_truncate { count } -> d.truncate_left <- d.truncate_left + count
+        | Counter_reset -> Installer.attempt_counter_reset d.installer
+        | Canary_crash -> Installer.arm_crash d.installer)
+    plan;
+  let payload = Telf.encode w.image in
+  let digest = Crypto.Sha1.digest payload in
+  let id = Task_id.of_image w.image.Telf.image in
+  let verdict =
+    Array.map (fun d -> if d.quarantined then 'Q' else '.') c.fleet
+  in
+  let eligible =
+    Array.to_list c.fleet |> List.filter (fun d -> not d.quarantined)
+  in
+  let canaries = List.filteri (fun i _ -> i < canary) eligible in
+  let rest = List.filteri (fun i _ -> i >= canary) eligible in
+  let transfer = transfer c ~wave ~version:w.version ~id ~payload ~digest in
+  (* Phase A: the canary cohort. *)
+  let canary_sessions, canary_slices = transfer canaries in
+  let attest_results =
+    if List.for_all applied canary_sessions then
+      attest_gate c ~wave canaries ~expected:id
+    else []
+  in
+  (* An empty cohort (every device quarantined) is no evidence: the wave
+     aborts rather than promote on a vacuous gate. *)
+  let abort_reason =
+    let canary_failed (d : dev) why =
+      Some (Printf.sprintf "canary %s: %s" d.serial why)
+    in
+    if canaries = [] then Some "no eligible device"
+    else
+      match List.find_opt (fun s -> not (applied s)) canary_sessions with
+      | Some s -> canary_failed s.dev (snd (refusal (letter s)))
+      | None -> (
+          match List.find_opt (fun (_, ok) -> not ok) attest_results with
+          | Some (d, _) -> canary_failed d "post-swap attestation failed"
+          | None -> None)
+  in
+  let promoted = abort_reason = None in
+  (* Phase B: promotion — or fleet-wide abort. *)
+  let fleet_sessions, fleet_slices =
+    if promoted then transfer rest else ([], 0)
+  in
+  let sessions = canary_sessions @ fleet_sessions in
+  (* The circuit breaker: one strike quarantines.  Every device that was
+     offered this wave and did not end it running the offered image is
+     out of the fleet until an operator re-provisions it, and so are
+     canaries that applied a wave the gate then failed: they run an
+     image the fleet aborted. *)
+  let struck = List.filter (fun s -> not (promoted && applied s)) sessions in
+  List.iter (fun s -> s.dev.quarantined <- true) struck;
+  let newly_quarantined =
+    List.sort compare (List.map (fun s -> s.dev.serial) struck)
+  in
+  List.iter (fun s -> verdict.(s.dev.index) <- letter s) sessions;
+  let verdicts = String.init (Array.length verdict) (Array.get verdict) in
+  let count v =
+    Array.fold_left (fun n ch -> if ch = v then n + 1 else n) 0 verdict
+  in
+  (match abort_reason with
+  | None -> observe c ~corr ~at:c.obs_at (Obs.Event.Wave_promoted { wave })
+  | Some reason ->
+      observe c ~corr ~at:c.obs_at (Obs.Event.Wave_aborted { wave; reason }));
+  List.iter
+    (fun serial ->
+      observe c ~corr:(dev_corr ~wave serial) ~at:c.obs_at
+        (Obs.Event.Quarantined { serial }))
+    newly_quarantined;
+  let attest_ok = List.length (List.filter snd attest_results) in
+  {
+    wave;
+    label = w.label;
+    version = w.version;
+    offered = List.length sessions;
+    staged = List.length (List.filter (fun s -> s.opened) sessions);
+    applied = count 'A';
+    refused_rollback = count 'R';
+    refused_vet = count 'V';
+    refused_auth = count 'M';
+    refused_digest = count 'D';
+    crashed = count 'X';
+    gave_up = count 'G';
+    attest_ok;
+    attest_failed = List.length attest_results - attest_ok;
+    verdicts;
+    promoted;
+    aborted = not promoted;
+    abort_reason;
+    slices = canary_slices + fleet_slices;
+    newly_quarantined;
+  }
+
 let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
     ~platform_key_of ~incumbent (waves : wave_spec list) =
   if devices <= 0 then invalid_arg "Rollout.run: devices must be positive";
@@ -323,25 +576,6 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
     waves;
   let controller_clock = Cycles.create () in
   let device_clock = Cycles.create () in
-  (* The campaign's global slice offset: per-phase loops restart their
-     local clock at 0, so flight-recorder timestamps add this base.  The
-     flight recorder charges nothing. *)
-  let obs_at = ref 0 in
-  let observe ~corr ~at event =
-    match obs with
-    | None -> ()
-    | Some log -> Obs.Log.record log ~corr ~at event
-  in
-  let terminal_event ~serial ~counter = function
-    | 'A' -> Some (Obs.Event.Swap_applied { serial; counter })
-    | 'R' -> Some (Obs.Event.Update_refused { serial; reason = "rollback" })
-    | 'V' -> Some (Obs.Event.Update_refused { serial; reason = "vet" })
-    | 'M' -> Some (Obs.Event.Update_refused { serial; reason = "auth" })
-    | 'D' -> Some (Obs.Event.Update_refused { serial; reason = "digest" })
-    | 'X' -> Some (Obs.Event.Update_refused { serial; reason = "crash" })
-    | 'G' -> Some (Obs.Event.Update_refused { serial; reason = "unreachable" })
-    | _ -> None
-  in
   let incumbent_id = Task_id.of_image incumbent.Telf.image in
   let fleet =
     Array.init devices (fun i ->
@@ -365,12 +599,9 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
             ~read_cost:Cost_model.counter_read
             ~increment_cost:Cost_model.counter_increment ()
         in
-        let nvm = ref None in
         let installer =
           Installer.create ~serial ~ka ~clock:device_clock ~counter
-            ~loaded:incumbent_id
-            ~persist:(fun blob -> nvm := Some blob)
-            ()
+            ~loaded:incumbent_id ()
         in
         {
           index = i;
@@ -380,287 +611,17 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
           ka;
           quarantined = false;
           truncate_left = 0;
-          nvm;
         })
+  in
+  let c =
+    { fleet; controller_clock; device_clock; obs; obs_at = 0; truncated = 0 }
   in
   let plan =
     if faults then fault_events ~seed ~devices ~waves:(List.length waves)
     else []
   in
-  let truncated = ref 0 in
-  let survived = ref true in
-  let stats = ref [] in
-  List.iteri
-    (fun wave_idx (w : wave_spec) ->
-      let wave_corr = Printf.sprintf "ota/wave-%d" wave_idx in
-      let dev_corr serial = Printf.sprintf "ota/%s/w%d" serial wave_idx in
-      (match obs with
-      | Some log -> ignore (Obs.Log.mint log wave_corr)
-      | None -> ());
-      observe ~corr:wave_corr ~at:!obs_at
-        (Obs.Event.Wave_opened
-           { wave = wave_idx; label = w.label; version = w.version });
-      (* Re-admit last wave's crash victims (they rebooted into the
-         incumbent); quarantine decisions stand. *)
-      Array.iter (fun d -> Installer.clear_crash d.installer) fleet;
-      List.iter
-        (fun (wave, device, fault) ->
-          if wave = wave_idx then
-            let d = fleet.(device) in
-            match fault with
-            | Frame_truncate { count } ->
-                d.truncate_left <- d.truncate_left + count
-            | Counter_reset -> Installer.attempt_counter_reset d.installer
-            | Canary_crash -> Installer.arm_crash d.installer)
-        plan;
-      let payload = Telf.encode w.image in
-      let size = Bytes.length payload in
-      let digest = Crypto.Sha1.digest payload in
-      let id = Task_id.of_image w.image.Telf.image in
-      let eligible =
-        Array.to_list fleet |> List.filter (fun d -> not d.quarantined)
-      in
-      let canaries = List.filteri (fun i _ -> i < canary) eligible in
-      let rest = List.filteri (fun i _ -> i >= canary) eligible in
-      let verdict = Array.make devices '.' in
-      Array.iter
-        (fun d -> if d.quarantined then verdict.(d.index) <- 'Q')
-        fleet;
-      let slices = ref 0 in
-      let run_phase cohort =
-        let base = !obs_at in
-        let sessions =
-          List.map
-            (fun d ->
-              let seq = (wave_idx * 10_000) + d.index in
-              let mac =
-                Cost_model.charge_hashing controller_clock (fun () ->
-                    Attestation.update_mac ~ka:d.ka ~id ~version:w.version
-                      ~size ~digest)
-              in
-              let offer =
-                Protocol.encode
-                  (Protocol.UpdateOffer
-                     { seq; id; version = w.version; size; digest; mac })
-              in
-              (match obs with
-              | Some log ->
-                  ignore (Obs.Log.mint log ~parent:wave_corr (dev_corr d.serial))
-              | None -> ());
-              observe ~corr:(dev_corr d.serial) ~at:base
-                (Obs.Event.Offer_sent
-                   { serial = d.serial; version = w.version });
-              {
-                dev = d;
-                seq;
-                offer;
-                payload;
-                state = `Offer;
-                opened = false;
-                next_needed = 0;
-                cursor = 0;
-                dup_acks = 0;
-                attempts = 0;
-                last_sent = -1000;
-                counter_after = -1;
-              })
-            cohort
-        in
-        let cap =
-          64 + (8 * ((size / chunk_size) + 1))
-          + (retry_timeout * session_attempts * 2)
-        in
-        (* Wake-driven slices, as in [attest_gate]: each slice visits, in
-           session order, only the sessions whose link has a frame due
-           or whose controller can send — device side, then controller
-           — and [settle] jumps to the next slice in which any of them
-           can act. *)
-        let live = Array.of_list sessions in
-        let active = Link.Wake_set.create ~universe:(Array.length live) in
-        Array.iteri (fun i _ -> Link.Wake_set.add active i) live;
-        let wake i =
-          let s = live.(i) in
-          min (Link.next_due s.dev.link) (session_wake s)
-        in
-        let is_done s = match s.state with `Done _ -> true | _ -> false in
-        let slice =
-          Link.Wake_set.settle ~cap ~pending:(Array.length live) (fun ~at ->
-              let settled = ref 0 in
-              let next =
-                Link.Wake_set.sweep active ~at ~wake ~visit:(fun i ->
-                    let s = live.(i) in
-                    device_step s.dev ~at ~truncated;
-                    let was_done = is_done s in
-                    List.iter
-                      (fun frame ->
-                        let was_opened = s.opened in
-                        let before = s.state in
-                        controller_on_frame s ~at frame;
-                        if obs <> None then begin
-                          let corr = dev_corr s.dev.serial in
-                          if (not was_opened) && s.opened then
-                            observe ~corr ~at:(base + at)
-                              (Obs.Event.Transfer_staged
-                                 { serial = s.dev.serial });
-                          match s.state with
-                          | `Done c when before <> s.state -> (
-                              match
-                                terminal_event ~serial:s.dev.serial
-                                  ~counter:s.counter_after c
-                              with
-                              | Some e -> observe ~corr ~at:(base + at) e
-                              | None -> ())
-                          | _ -> ()
-                        end)
-                      (Link.deliver s.dev.link ~to_:Link.Remote ~at);
-                    controller_poll s ~at;
-                    if (not was_done) && is_done s then incr settled)
-              in
-              (!settled, next))
-        in
-        slices := !slices + slice;
-        (* Anything still unsettled has exhausted its schedule. *)
-        List.iter
-          (fun s ->
-            match s.state with
-            | `Done '?' | `Offer | `Stream ->
-                s.state <-
-                  (if Installer.crashed s.dev.installer then `Done 'X'
-                   else `Done 'G');
-                (match s.state with
-                | `Done c -> (
-                    match
-                      terminal_event ~serial:s.dev.serial
-                        ~counter:s.counter_after c
-                    with
-                    | Some e ->
-                        observe ~corr:(dev_corr s.dev.serial)
-                          ~at:(base + slice) e
-                    | None -> ())
-                | _ -> ())
-            | `Done _ -> ())
-          sessions;
-        obs_at := base + slice;
-        List.iter
-          (fun s ->
-            match s.state with
-            | `Done c -> verdict.(s.dev.index) <- c
-            | _ -> verdict.(s.dev.index) <- '?')
-          sessions;
-        sessions
-      in
-      (* Phase A: the canary cohort. *)
-      let canary_sessions = run_phase canaries in
-      let canary_applied =
-        List.for_all (fun s -> s.state = `Done 'A') canary_sessions
-      in
-      let attest_results =
-        if canary_applied then
-          attest_gate ~controller_clock ~wave:wave_idx canaries ~expected:id
-            ~truncated
-        else []
-      in
-      let attest_ok_canaries =
-        List.length (List.filter snd attest_results)
-      in
-      (* An empty cohort (every device quarantined) is no evidence: the
-         wave aborts rather than promote on a vacuous gate. *)
-      let gate_passed =
-        canaries <> [] && canary_applied && List.for_all snd attest_results
-      in
-      let abort_reason =
-        if gate_passed then None
-        else if canaries = [] then Some "no eligible device"
-        else if not canary_applied then
-          List.find_opt (fun s -> s.state <> `Done 'A') canary_sessions
-          |> Option.map (fun s ->
-                 Printf.sprintf "canary %s: %s" s.dev.serial
-                   (match s.state with
-                   | `Done 'R' -> "rollback-refused"
-                   | `Done 'V' -> "vet-refused"
-                   | `Done 'M' -> "auth-refused"
-                   | `Done 'D' -> "digest-refused"
-                   | `Done 'X' -> "crashed mid-swap"
-                   | `Done 'G' -> "unreachable"
-                   | _ -> "pending"))
-        else
-          List.find_opt (fun (_, ok) -> not ok) attest_results
-          |> Option.map (fun ((d : dev), _) ->
-                 Printf.sprintf "canary %s: post-swap attestation failed"
-                   d.serial)
-      in
-      (* Phase B: promotion — or fleet-wide abort. *)
-      let fleet_sessions = if gate_passed then run_phase rest else [] in
-      let all_sessions = canary_sessions @ fleet_sessions in
-      (* The circuit breaker: one strike quarantines.  Every device that
-         was offered this wave and did not end it running the offered
-         image is out of the fleet until an operator re-provisions it,
-         and so are canaries that applied a wave the gate then failed:
-         they run an image the fleet aborted. *)
-      let newly_quarantined = ref [] in
-      let quarantine d =
-        if not d.quarantined then begin
-          d.quarantined <- true;
-          newly_quarantined := d.serial :: !newly_quarantined
-        end
-      in
-      List.iter
-        (fun s -> if s.state <> `Done 'A' then quarantine s.dev)
-        all_sessions;
-      if not gate_passed then List.iter (fun s -> quarantine s.dev) canary_sessions;
-      let count c =
-        Array.fold_left (fun n ch -> if ch = c then n + 1 else n) 0 verdict
-      in
-      let verdicts = String.init devices (Array.get verdict) in
-      if
-        (not faults)
-        && (count 'G' > 0 || count 'X' > 0 || String.contains verdicts '?')
-      then survived := false;
-      if gate_passed then
-        observe ~corr:wave_corr ~at:!obs_at
-          (Obs.Event.Wave_promoted { wave = wave_idx })
-      else
-        observe ~corr:wave_corr ~at:!obs_at
-          (Obs.Event.Wave_aborted
-             {
-               wave = wave_idx;
-               reason = Option.value abort_reason ~default:"canary gate failed";
-             });
-      List.iter
-        (fun serial ->
-          observe ~corr:(dev_corr serial) ~at:!obs_at
-            (Obs.Event.Quarantined { serial }))
-        (List.sort compare !newly_quarantined);
-      stats :=
-        {
-          wave = wave_idx;
-          label = w.label;
-          version = w.version;
-          offered = List.length all_sessions;
-          staged = List.length (List.filter (fun s -> s.opened) all_sessions);
-          applied = count 'A';
-          refused_rollback = count 'R';
-          refused_vet = count 'V';
-          refused_auth = count 'M';
-          refused_digest = count 'D';
-          crashed = count 'X';
-          gave_up = count 'G';
-          attest_ok = attest_ok_canaries;
-          attest_failed =
-            (if canary_applied then
-               List.length attest_results - attest_ok_canaries
-             else 0);
-          verdicts;
-          promoted = gate_passed;
-          aborted = not gate_passed;
-          abort_reason;
-          slices = !slices;
-          newly_quarantined = List.sort compare !newly_quarantined;
-        }
-        :: !stats)
-    waves;
+  let waves = List.mapi (run_wave c ~canary ~plan) waves in
   let sum f = Array.fold_left (fun n d -> n + f d) 0 fleet in
-  let waves = List.rev !stats in
   let tally f = List.fold_left (fun n w -> n + f w) 0 waves in
   {
     devices;
@@ -682,7 +643,7 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
     frames_sent = sum (fun d -> Link.sent_count d.link);
     frames_dropped = sum (fun d -> Link.dropped_count d.link);
     frames_delivered = sum (fun d -> Link.delivered_count d.link);
-    truncated_frames = !truncated;
+    truncated_frames = c.truncated;
     quarantined =
       Array.to_list fleet
       |> List.filter (fun d -> d.quarantined)
@@ -705,7 +666,9 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
           ("ota.waves_aborted", tally (fun w -> Bool.to_int w.aborted));
           ("ota.waves_promoted", tally (fun w -> Bool.to_int w.promoted));
         ];
-    survived = !survived;
+    (* A device lost to a crash or to its link on a fault-free run. *)
+    survived =
+      faults || List.for_all (fun w -> w.gave_up + w.crashed = 0) waves;
   }
 
 (* ---- rendering -------------------------------------------------------- *)

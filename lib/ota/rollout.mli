@@ -1,10 +1,12 @@
 (** The fleet-side rollout engine: staged (canary-first) firmware
     campaigns over faulty links, with promotion gated on evidence.
 
-    A campaign runs a list of {e waves} (signed images with strictly
-    increasing versions) against a fleet of {!Installer}-backed devices,
-    each behind its own seeded {!Tytan_netsim.Link}.  Every wave follows
-    the canary state machine:
+    A campaign runs a list of {e waves} (signed images, each with a
+    version ≥ 1) against a fleet of {!Installer}-backed devices, each
+    behind its own seeded {!Tytan_netsim.Link}.  Versions need not
+    increase: a wave whose version does not beat a device's counter is
+    refused there as a rollback, which is how [tytan ota --stale]
+    replays version 1.  Every wave follows the canary state machine:
 
     {v admit → stage → vet → swap → promote | abort v}
 
@@ -108,8 +110,10 @@ val run :
   incumbent:Telf.t ->
   wave_spec list ->
   report
-(** Run a campaign.  [canary] must be in [1..devices] ([canary =
-    devices] is a flat rollout — no gate, every device is a canary).
+(** Run a campaign.  [canary] must be in [1..devices].  [canary =
+    devices] is a flat rollout: every device is a canary, so the gate
+    attests every device post-swap and a passing wave has no one left
+    to promote to.
     [platform_key_of] supplies each device's platform key (normally
     [Registry.platform_key]); Ka is derived once and shared by the
     device and the controller, and each clock is charged one derivation

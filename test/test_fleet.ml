@@ -337,14 +337,14 @@ let genuine_report ~serial ~nonce =
     mac = Attestation.expected_mac ~ka:(test_ka ~serial) ~id:fw_id ~nonce;
   }
 
-let make_aggregator () =
-  Aggregator.create ~ka_of:test_ka ~clock:(Cycles.create ()) ()
+let make_aggregator ?kind () =
+  Aggregator.create ~ka_of:test_ka ~clock:(Cycles.create ()) ?kind ()
 
 let aggregator_tests =
   [
     Alcotest.test_case "cached verdict only served within its nonce epoch"
       `Quick (fun () ->
-        let a = make_aggregator () in
+        let a = make_aggregator ~kind:Aggregator.Retain () in
         Aggregator.begin_epoch a ~epoch:0;
         let n0 = Bytes.of_string "nonce-epoch-0" in
         let r0 = genuine_report ~serial:"s1" ~nonce:n0 in
@@ -373,7 +373,7 @@ let aggregator_tests =
           (Aggregator.key_derivations a));
     Alcotest.test_case "forged reports are rejected and never cached" `Quick
       (fun () ->
-        let a = make_aggregator () in
+        let a = make_aggregator ~kind:Aggregator.Retain () in
         Aggregator.begin_epoch a ~epoch:0;
         let nonce = Bytes.of_string "nonce-x" in
         let forged =
@@ -393,33 +393,35 @@ let aggregator_tests =
         Alcotest.(check bool) "the genuine report still verifies" true
           (Aggregator.check_report a ~serial:"s1" ~expected:fw_id ~nonce genuine));
     Alcotest.test_case "sealed batch membership proofs verify" `Quick (fun () ->
-        let a = make_aggregator () in
+        let a = make_aggregator ~kind:Aggregator.Retain () in
         Aggregator.begin_epoch a ~epoch:0;
         let nonce = Bytes.of_string "batch-nonce" in
-        for i = 0 to 12 do
-          let serial = Printf.sprintf "s%02d" i in
-          Alcotest.(check bool) "admitted" true
-            (Aggregator.check_report a ~serial ~expected:fw_id ~nonce
-               (genuine_report ~serial ~nonce))
-        done;
+        let serials = List.init 13 (Printf.sprintf "s%02d") in
+        List.iter
+          (fun serial ->
+            Alcotest.(check bool) "admitted" true
+              (Aggregator.check_report a ~serial ~expected:fw_id ~nonce
+                 (genuine_report ~serial ~nonce)))
+          serials;
         Aggregator.flush a;
-        (match Aggregator.batches a with
-        | [ (epoch, _, size) ] ->
-            Alcotest.(check int) "stamped with the epoch" 0 epoch;
-            Alcotest.(check int) "all 13 leaves sealed" 13 size
-        | l -> Alcotest.failf "expected one batch, got %d" (List.length l));
-        match Aggregator.last_tree a with
-        | None -> Alcotest.fail "no sealed tree"
-        | Some (tree, leaves) ->
-            let root = Crypto.Merkle.root tree in
-            Array.iteri
-              (fun i leaf ->
+        let root =
+          match Aggregator.batches a with
+          | [ (epoch, root, size) ] ->
+              Alcotest.(check int) "stamped with the epoch" 0 epoch;
+              Alcotest.(check int) "all 13 leaves sealed" 13 size;
+              root
+          | l -> Alcotest.failf "expected one batch, got %d" (List.length l)
+        in
+        List.iter
+          (fun serial ->
+            match Aggregator.membership_proof a ~serial with
+            | None -> Alcotest.failf "%s: no membership proof" serial
+            | Some (leaf, proof) ->
                 Alcotest.(check bool)
-                  (Printf.sprintf "leaf %d membership proof" i)
+                  (serial ^ " membership proof")
                   true
-                  (Crypto.Merkle.verify ~root ~leaf
-                     (Crypto.Merkle.proof tree i)))
-              leaves);
+                  (Crypto.Merkle.verify ~root ~leaf proof))
+          serials);
     Alcotest.test_case "Rebuild seals a full batch of 256, flush the rest"
       `Quick (fun () ->
         let a = make_aggregator () in

@@ -16,7 +16,11 @@
    eviction order (DESIGN.md §14): evicting in O(1) must pick the same
    victims.  [swarm/incremental/faults/seed-758] was recorded from the
    engines as they stood before the registry's key table (DESIGN.md
-   §13): replaying a derivation's charge must not move it.
+   §13): replaying a derivation's charge must not move it.  The
+   [rollout/observed/*] pins were recorded from [Rollout.run] as one
+   closure, before it became one function per phase (DESIGN.md §16):
+   the split must reproduce every report and every flight-recorder
+   trail.
 
    The platform pin is the instruction, cycle and context-switch count
    and the per-task cycle attribution of the use case, recorded from the
@@ -27,6 +31,7 @@
 open Tytan_provision
 module Gateway = Tytan_serve.Gateway
 module Rollout = Tytan_ota.Rollout
+module Obs = Tytan_obs.Obs
 module Tasks = Tytan_tasks.Task_lib
 module Task_id = Tytan_core.Task_id
 module Sha1 = Tytan_crypto.Sha1
@@ -226,7 +231,66 @@ let platform_table1 () =
           (Platform.cycle_attribution p)))
 
 let platform_cases = [ ("platform/table1", platform_table1) ]
-let cases = swarm_cases @ gateway_cases @ rollout_cases @ platform_cases
+
+(* Observed rollouts pin the flight recorder's trail as well as the
+   report: the record count and chain head move if one event is added,
+   dropped, reordered or re-stamped, which the report digest does not
+   see.  Between them the four campaigns show every verdict the rollout
+   records (vet refusals, mid-swap crashes and give-ups included), a
+   faulted wave that still promotes, and a flat rollout.  Each
+   campaign's registry, incumbent and wave list are built once and
+   shared by every run of it, as perfbench shares them across
+   repetitions, so state left behind by one run would show up in the
+   next. *)
+let observed_rollout ~devices ~canary ~seed ~faults ~loss_percent waves =
+  let registry = Registry.create ~master:(Bytes.of_string "pin-rollout-master") in
+  let incumbent = Tasks.counter () in
+  fun () ->
+    let log = Obs.Log.create () in
+    let r =
+      Rollout.run ~devices ~canary ~seed ~faults ~loss_percent ~obs:log
+        ~platform_key_of:(fun ~serial -> Registry.platform_key registry ~serial)
+        ~incumbent waves
+    in
+    Printf.sprintf "%s records=%d head=%s"
+      (digest_line (Rollout.to_string r))
+      (Obs.Log.length log) (Obs.Log.head_hex log)
+
+let observed_cases =
+  let leaky =
+    {
+      Rollout.label = "leaky";
+      version = 3;
+      image =
+        Tasks.key_leaker
+          ~receiver:(Task_id.of_image (Bytes.of_string "exfil-sink"))
+          ();
+    }
+  and stale =
+    { Rollout.label = "stale"; version = 1; image = Tasks.yielder ~count:3 () }
+  in
+  [
+    (* A mid-swap crash in a wave that promotes, then rollback, vet, auth
+       and digest refusals. *)
+    ( "rollout/observed/faults-stale-leaky",
+      observed_rollout ~devices:24 ~canary:4 ~seed:5 ~faults:true
+        ~loss_percent:10
+        [ clean_wave 1; clean_wave 2; stale; leaky; clean_wave 4 ] );
+    (* Every device a canary: the first wave promotes, a give-up aborts
+       the second. *)
+    ( "rollout/observed/flat-loss-40",
+      observed_rollout ~devices:16 ~canary:16 ~seed:2 ~faults:false
+        ~loss_percent:40 [ clean_wave 1; clean_wave 2 ] );
+    ( "rollout/observed/faults-loss-60",
+      observed_rollout ~devices:40 ~canary:4 ~seed:2 ~faults:true
+        ~loss_percent:60 [ clean_wave 1; clean_wave 2 ] );
+    ( "rollout/observed/stale-leaky",
+      observed_rollout ~devices:24 ~canary:4 ~seed:1 ~faults:false
+        ~loss_percent:10 [ clean_wave 1; clean_wave 2; stale; leaky ] );
+  ]
+
+let cases =
+  swarm_cases @ gateway_cases @ rollout_cases @ observed_cases @ platform_cases
 
 (* --- the pins ------------------------------------------------------------ *)
 
@@ -256,21 +320,52 @@ let pins =
     ("rollout/faults", "digest: sha1:ba1c90e41d56e2c8a7b1a3aa523abb2a708b646f");
     ("rollout/faults-stale-leaky", "digest: sha1:cec7e2d770b34fb264923bbb0033e80d89ec618a");
     ("rollout/faults-leaky-clean-alternate", "digest: sha1:e7f61de13537d3467b9e4aee0541ad6a2da4d43d");
+    ( "rollout/observed/faults-stale-leaky",
+      "digest: sha1:3cdb3630ffcb6a91ca958e2a4e179963c7ef013e records=215 \
+       head=02e0c6169a11bb14760fa9c217c1856b3d5055e56ac22001d17c83cde46c1226" );
+    ( "rollout/observed/flat-loss-40",
+      "digest: sha1:2f7b885dd9e3ba0ef3cfa711a05ca6ad4b501324 records=115 \
+       head=2ea3aaa1f6caa673a55cb92000b1d473fb6feb8b48ca248d178fc0602e1e793f" );
+    ( "rollout/observed/faults-loss-60",
+      "digest: sha1:26a7ca2251eed34b8bc4faad6e7df08ea77857c7 records=132 \
+       head=2cf8112fb0e2c50acf9b50585824906e2f60818727658b5d80f3cacdb5f8133d" );
+    ( "rollout/observed/stale-leaky",
+      "digest: sha1:418097c007fb043b30de0e016d19b7fb6adabb72 records=180 \
+       head=26ff1a91fabe1c5bdec8a14fbd3bee4e289889d594b8109d4bf60fcdcdf5d796" );
     ( "platform/table1",
       "instructions=1135859 cycles=4119529 context_switches=982 | idle=2247202 \
        svc-loader=239370 t0-engine=52702 t1-pedal=98555 t2-radar=30155 \
        (os)=14826376" );
   ]
 
+let pinned name =
+  match List.assoc_opt name pins with
+  | Some expected -> expected
+  | None -> Alcotest.failf "%s: no pinned digest" name
+
 let pinned_tests =
   List.map
     (fun (name, thunk) ->
       Alcotest.test_case name `Quick (fun () ->
-          match List.assoc_opt name pins with
-          | None -> Alcotest.failf "%s: no pinned digest" name
-          | Some expected ->
-              Alcotest.(check string)
-                (name ^ " report digest") expected (thunk ())))
+          Alcotest.(check string)
+            (name ^ " report digest") (pinned name) (thunk ())))
     cases
 
-let () = Alcotest.run "pins" [ ("engine digests", pinned_tests) ]
+(* perfbench times repeated runs over shared inputs and requires each to
+   reproduce the first; twenty runs of each observed campaign in one
+   process must all reproduce its pin. *)
+let rerun_tests =
+  List.map
+    (fun (name, thunk) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let expected = pinned name in
+          for i = 1 to 20 do
+            Alcotest.(check string)
+              (Printf.sprintf "%s run %d" name i)
+              expected (thunk ())
+          done))
+    observed_cases
+
+let () =
+  Alcotest.run "pins"
+    [ ("engine digests", pinned_tests); ("reruns", rerun_tests) ]
